@@ -36,7 +36,7 @@ from .e2sm import (
     encode_message,
 )
 from .ofh import BeamTable, IqBlock, WaveformConfig, lookup_waveform
-from .radio import SPEED_OF_LIGHT, EchoScene, apply_scene, generate_probe
+from .radio import SPEED_OF_LIGHT, EchoScene, SceneEcho, apply_scene, generate_probe, scene_echo
 from .transport import Channel, Disconnected, Timeout, send_telemetry
 
 ECHO_ENERGY = "ECHO_ENERGY"
@@ -129,8 +129,7 @@ def multipath_spread(power_delay_profile: np.ndarray, bin_width_s: float) -> flo
 
 
 def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
-                  beam_table: BeamTable, beam_index: int,
-                  prev_report: SensingReport | None = None, *,
+                  beam_table: BeamTable, beam_index: int, *,
                   beam_sweep_powers: Iterable[float] | None = None,
                   waveform_id: int = 0,
                   t0_ns: int = 0,
@@ -223,6 +222,10 @@ class DappConfig:
 # suppression, SI as strong as the echo.
 _SIC_OFF_SI_DB = 0.0
 
+# Share of the report period a late burst waits before the next one, so the
+# receiving side and inbound control get the interpreter between bursts.
+_LATE_GAP = 0.1
+
 
 class SensingDapp:
     """Single sensing pipeline instance bound to one transport channel.
@@ -251,6 +254,9 @@ class SensingDapp:
         self.prev_report: SensingReport | None = None
         self.dropped_blocks = 0
         self._probe_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
+        # all that _apply_command can change about a burst besides its seed.
+        self._echo_cache: dict[tuple[int, int, bool], SceneEcho] = {}
         self._burst_counter = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -276,8 +282,14 @@ class SensingDapp:
         scene = replace(self._effective_scene(),
                         seed=self.scene.seed + self._burst_counter)
         self._burst_counter += 1
+        key = (self.config.waveform_id, self.config.active_beam, self.config.sic_enabled)
+        echo = self._echo_cache.get(key)
+        if echo is None:
+            echo = scene_echo(time_probe, cfg, scene, self.config.active_beam, self.beam_table)
+            self._echo_cache[key] = echo
         block, _ = apply_scene(
             time_probe, cfg, scene, self.config.active_beam, self.beam_table,
+            echo=echo,
             waveform_id=self.config.waveform_id,
             tx_timestamp=self.clock.now_ns(),
         )
@@ -285,7 +297,6 @@ class SensingDapp:
         self.sequence_number += 1
         return estimate_kpis(
             power_map, cfg, self.beam_table, self.config.active_beam,
-            self.prev_report,
             waveform_id=self.config.waveform_id,
             sequence_number=self.sequence_number,
         )
@@ -352,7 +363,14 @@ class SensingDapp:
         self.prev_report = report
 
     def run(self) -> None:
-        """Serve the channel until stopped or the transport closes."""
+        """Serve the channel until stopped or the transport closes.
+
+        Bursts keep to the report period's deadline grid. A burst that
+        overruns its slot is followed by the next one after a short gap
+        (``_LATE_GAP`` of the period), not a full period later, so the report
+        interval grows with the burst time instead of jumping to twice the
+        period.
+        """
         next_deadline = time.monotonic() + self.config.report_period_ms / 1e3
         try:
             while not self._stop.is_set():
@@ -360,9 +378,9 @@ class SensingDapp:
                 if now >= next_deadline:
                     if self.machine.state.name == "ACTIVE":
                         self._emit()
-                    next_deadline += self.config.report_period_ms / 1e3
-                    if next_deadline <= time.monotonic():
-                        next_deadline = time.monotonic() + self.config.report_period_ms / 1e3
+                    period = self.config.report_period_ms / 1e3
+                    next_deadline = max(next_deadline + period,
+                                        time.monotonic() + _LATE_GAP * period)
                     continue
                 try:
                     frame = self.channel.recv(timeout=next_deadline - now)

@@ -34,7 +34,7 @@ from .dapp import (
 )
 from .e2sm import SubscriptionMode, TriggerConfig
 from .ofh import BeamTable, WaveformConfig
-from .radio import EchoScene, Target, apply_scene, generate_probe, load_scene
+from .radio import EchoScene, Target, apply_scene, generate_probe, load_scene, scene_echo
 from .stats import (
     ExperimentSummary,
     compliance_table,
@@ -343,6 +343,8 @@ def run_sensing_accuracy(cfg: ExperimentConfig,
     grid, time_probe = generate_probe(wf, seed=cfg.seed)
     beam = 4 if 4 in cfg.beam_table else next(iter(cfg.beam_table.entries))
     trig = trigger or TriggerConfig(echo_energy_threshold_db=-40.0)
+    # Trials differ only by seed, so they share one noise-free echo.
+    echo = scene_echo(time_probe, wf, scene, beam, cfg.beam_table)
 
     range_errors: list[float] = []
     vel_errors: list[float] = []
@@ -350,7 +352,8 @@ def run_sensing_accuracy(cfg: ExperimentConfig,
     rows: list[str] = []
     for trial in range(cfg.accuracy_trials):
         trial_scene = replace(scene, seed=scene.seed + trial)
-        block, truth = apply_scene(time_probe, wf, trial_scene, beam, cfg.beam_table)
+        block, truth = apply_scene(time_probe, wf, trial_scene, beam, cfg.beam_table,
+                                   echo=echo)
         power_map = delay_doppler_map(block, wf, grid)
         report = estimate_kpis(power_map, wf, cfg.beam_table, beam,
                                sequence_number=trial + 1)

@@ -1,11 +1,16 @@
 """Synthetic monostatic radio environment.
 
 Generates the OFDM probing burst for a waveform configuration, then applies a
-target scene to it: per-target round-trip delay (fractional, frequency-domain),
-two-way Doppler rotation, beam-pattern gain, residual self-interference as an
-attenuated zero-delay copy, and white Gaussian noise calibrated to the
-strongest echo. Ground truth rides along with every block so estimators can be
-verified against exact values.
+target scene to it in two steps. ``scene_echo`` builds the noise-free burst
+seen on one beam: per-target round-trip delay (fractional, frequency-domain),
+two-way Doppler rotation, beam-pattern gain and residual self-interference as
+an attenuated zero-delay copy. It depends on the probe, the scene's targets
+and SI level and the beam, never on the scene's seed, so a caller that senses
+the same scene burst after burst can keep it (the dApp keys it on waveform,
+beam and SIC state). ``apply_scene`` adds white Gaussian noise, calibrated to
+the strongest echo and drawn from the scene's seed, to that echo. Ground
+truth rides along with every block so estimators can be verified against
+exact values.
 
 Conventions fixed here and relied on by the estimator:
   delay   = 2 * range / c
@@ -121,11 +126,19 @@ def _fractional_delay(signal: np.ndarray, delay_samples: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(signal) * np.exp(-2j * np.pi * freqs * delay_samples))
 
 
-def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
-                beam: int, beam_table: BeamTable, *,
-                waveform_id: int = 0, tx_timestamp: int = 0,
-                beamwidth_deg: float = DEFAULT_BEAMWIDTH_DEG) -> tuple[IqBlock, GroundTruth]:
-    """Propagate the probe through the scene as seen on one probing beam."""
+@dataclass(frozen=True)
+class SceneEcho:
+    """Noise-free burst for one (probe, scene targets and SI, beam)."""
+
+    samples: np.ndarray       # target echoes plus residual SI copy; read-only
+    ref_power: float          # strongest single-target echo power, 1.0 if none
+    truth: GroundTruth
+
+
+def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
+               beam: int, beam_table: BeamTable, *,
+               beamwidth_deg: float = DEFAULT_BEAMWIDTH_DEG) -> SceneEcho:
+    """Propagate the probe through the scene's targets on one beam, without noise."""
     fs = cfg.sample_rate
     beam_az, _ = beam_table.direction(beam)
 
@@ -157,10 +170,30 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
         si_amp = math.sqrt(ref_power * 10.0 ** (scene.residual_si_power_db / 10.0))
         rx = rx + si_amp * probe
 
+    # Shared by every burst built on it: nobody may write to it.
+    rx.flags.writeable = False
+    return SceneEcho(rx, ref_power, GroundTruth(tuple(delays), tuple(dopplers), tuple(gains)))
+
+
+def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
+                beam: int, beam_table: BeamTable, *,
+                echo: SceneEcho | None = None,
+                waveform_id: int = 0, tx_timestamp: int = 0,
+                beamwidth_deg: float = DEFAULT_BEAMWIDTH_DEG) -> tuple[IqBlock, GroundTruth]:
+    """Propagate the probe through the scene as seen on one probing beam.
+
+    ``echo`` is a ``scene_echo`` result for the same probe, cfg, scene targets,
+    SI level and beam; given, only the noise of ``scene.seed`` is drawn.
+    """
+    if echo is None:
+        echo = scene_echo(probe, cfg, scene, beam, beam_table, beamwidth_deg=beamwidth_deg)
+    rx = echo.samples
     if scene.snr_db < math.inf:
         rng = np.random.default_rng(scene.seed)
-        noise_power = ref_power / 10.0 ** (scene.snr_db / 10.0)
-        noise = rng.standard_normal(len(probe)) + 1j * rng.standard_normal(len(probe))
+        noise_power = echo.ref_power / 10.0 ** (scene.snr_db / 10.0)
+        # One draw: first half real parts, second half imaginary parts.
+        draw = rng.standard_normal(2 * len(rx))
+        noise = draw[:len(rx)] + 1j * draw[len(rx):]
         rx = rx + noise * math.sqrt(noise_power / 2.0)
 
     meta = SensingMetadata(
@@ -170,8 +203,7 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
         sensing_flag=True,
     )
     block = IqBlock(metadata=meta, samples=rx, rx_timestamp=tx_timestamp)
-    truth = GroundTruth(tuple(delays), tuple(dopplers), tuple(gains))
-    return block, truth
+    return block, echo.truth
 
 
 def load_scene(path: str | Path) -> EchoScene:
