@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -23,7 +24,12 @@ from .harness import (
 from .transport import EndpointKind
 
 
+def _schedule(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags that set an ``ExperimentConfig`` field are stored under its name."""
     parser = argparse.ArgumentParser(
         prog="oran-isac",
         description="Desk-scale ISAC control-loop experiments",
@@ -31,42 +37,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--transport", choices=["inproc", "tcp"], default="inproc")
+        p.add_argument("--transport", type=EndpointKind, metavar="{inproc,tcp}")
         p.add_argument("--config", type=Path, help="JSON experiment configuration")
-        p.add_argument("--out", type=Path, default=Path("results"),
+        p.add_argument("--out", dest="out_dir", type=Path, default=Path("results"),
                        help="output directory for CSVs and summary.json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration-s", type=float,
-                       help="per-segment duration (exp-a) or total probe budget hint")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--duration-s", dest="segment_duration_s", type=float,
+                       help="per-segment duration of exp-a, in seconds")
 
     a = sub.add_parser("exp-a", help="periodicity control experiment")
     common(a)
-    a.add_argument("--schedule", type=str, default="100,20,10",
+    a.add_argument("--schedule", dest="schedule_ms", type=_schedule,
                    help="comma-separated reporting periods in ms")
 
     b = sub.add_parser("exp-b", help="closed-loop latency experiment")
     common(b)
-    b.add_argument("--probes", type=int, default=5000)
-    b.add_argument("--period-ms", type=float, default=10.0)
+    b.add_argument("--probes", dest="num_probes", type=int)
+    b.add_argument("--period-ms", dest="probe_period_ms", type=float)
 
     s = sub.add_parser("sense", help="sensing accuracy experiment")
     common(s)
-    s.add_argument("--scene", type=Path, help="scene JSON with ground truth")
-    s.add_argument("--trials", type=int, default=200)
+    s.add_argument("--scene", dest="scene_path", type=Path,
+                   help="scene JSON with ground truth")
+    s.add_argument("--trials", dest="accuracy_trials", type=int)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Defaults live in ``ExperimentConfig``: a flag overrides only when given."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    cfg.transport = EndpointKind(args.transport)
-    cfg.seed = args.seed
-    cfg.out_dir = args.out
-    if args.duration_s:
-        cfg.segment_duration_s = args.duration_s
-    return cfg
+        return load_config(args.config, **given)
+    return ExperimentConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,18 +77,12 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _config_from_args(args)
 
     if args.command == "exp-a":
-        cfg.schedule_ms = tuple(float(x) for x in args.schedule.split(","))
-        summary = run_experiment_a(cfg)
-        print(json.dumps(summary.to_dict(), indent=2))
+        result = run_experiment_a(cfg)
     elif args.command == "exp-b":
-        cfg.num_probes = args.probes
-        cfg.probe_period_ms = args.period_ms
-        summary = run_experiment_b(cfg)
-        print(json.dumps(summary.to_dict(), indent=2))
+        result = run_experiment_b(cfg)
     else:
-        cfg.accuracy_trials = args.trials
-        report = run_sensing_accuracy(cfg, scene_path=args.scene)
-        print(json.dumps(report.to_dict(), indent=2))
+        result = run_sensing_accuracy(cfg, scene_path=args.scene_path)
+    print(json.dumps(result.to_dict(), indent=2))
     return 0
 
 

@@ -16,10 +16,9 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable
 
 from .clock import SharedClock, default_clock
 from .e2sm import (
@@ -77,20 +76,29 @@ class A1IsacPolicy:
         return any(lo <= azimuth_deg <= hi for lo, hi in self.geographic_scope)
 
 
+_POLICY_FIELDS = {
+    "policy_id": str,
+    "geographic_scope": lambda scope: tuple((float(lo), float(hi)) for lo, hi in scope),
+    "temporal_budget_ms_per_s": float,
+    "sensing_priority": int,
+    "energy_limit": float,
+    "min_period_ms": float,
+    "max_period_ms": float,
+}
+
+
+def policy_from_dict(doc: dict) -> A1IsacPolicy:
+    """Build an A1 sensing policy from its parsed JSON document.
+
+    A missing key takes the ``A1IsacPolicy`` default.
+    """
+    return A1IsacPolicy(**{key: parse(doc[key])
+                           for key, parse in _POLICY_FIELDS.items() if key in doc})
+
+
 def load_policy(path: str | Path) -> A1IsacPolicy:
     """Load an A1 sensing policy from its JSON document."""
-    doc = json.loads(Path(path).read_text())
-    return A1IsacPolicy(
-        policy_id=str(doc.get("policy_id", "default")),
-        geographic_scope=tuple(
-            (float(lo), float(hi)) for lo, hi in doc.get("geographic_scope", [[-180, 180]])
-        ),
-        temporal_budget_ms_per_s=float(doc.get("temporal_budget_ms_per_s", 1000.0)),
-        sensing_priority=int(doc.get("sensing_priority", 128)),
-        energy_limit=float(doc.get("energy_limit", 1.0)),
-        min_period_ms=float(doc.get("min_period_ms", 1.0)),
-        max_period_ms=float(doc.get("max_period_ms", 1000.0)),
-    )
+    return policy_from_dict(json.loads(Path(path).read_text()))
 
 
 class Verdict(Enum):
@@ -145,8 +153,6 @@ def enforce_policy(policy: A1IsacPolicy,
         period = proposed.period_ms
     elif proposed.kind == CommandKind.SET_PERIOD:
         period = proposed.period_ms
-    elif proposed.kind == CommandKind.SET_BEAM:
-        return PolicyDecision(Verdict.ACCEPT)
     else:
         return PolicyDecision(Verdict.ACCEPT)
 
@@ -220,7 +226,6 @@ class XApp:
         self._pending: dict[int, list] = {}
         self._pending_cond = threading.Condition()
         self._report_cond = threading.Condition()
-        self.on_report: Callable[[ReceivedReport], None] | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -243,8 +248,6 @@ class XApp:
                 with self._report_cond:
                     self.reports.append(received)
                     self._report_cond.notify_all()
-                if self.on_report is not None:
-                    self.on_report(received)
             else:
                 with self._pending_cond:
                     self._pending.setdefault(msg.correlation_id, []).append(msg)
@@ -275,19 +278,23 @@ class XApp:
 
     # -- operations ---------------------------------------------------------
 
+    def _enforce(self, request: ControlRequestPayload | SubscriptionRequestPayload) -> None:
+        """Raise ``PolicyViolation`` unless the policy accepts the request as it is."""
+        decision = enforce_policy(self.policy, request, self.budget)
+        if decision.verdict == Verdict.REJECT:
+            raise PolicyViolation(decision.reason)
+        if decision.verdict == Verdict.CLAMP:
+            raise PolicyViolation(
+                f"period {request.period_ms} ms outside "
+                f"[{self.policy.min_period_ms}, {self.policy.max_period_ms}] ms"
+            )
+
     def subscribe(self, mode: SubscriptionMode, *, period_ms: float = 0.0,
                   trigger: TriggerConfig = TriggerConfig(),
                   timeout: float = 5.0) -> int:
         """Negotiate a subscription; returns the allocated subscription id."""
         request = SubscriptionRequestPayload(mode, period_ms=period_ms, trigger=trigger)
-        decision = enforce_policy(self.policy, request, self.budget)
-        if decision.verdict == Verdict.REJECT:
-            raise PolicyViolation(decision.reason)
-        if mode == SubscriptionMode.PERIODIC and decision.verdict == Verdict.CLAMP:
-            raise PolicyViolation(
-                f"period {period_ms} ms outside "
-                f"[{self.policy.min_period_ms}, {self.policy.max_period_ms}] ms"
-            )
+        self._enforce(request)
         corr = self._next_corr()
         self.channel.send(encode_message(E2SensMessage(
             MsgType.SUBSCRIPTION_REQUEST, corr, request)))
@@ -309,19 +316,13 @@ class XApp:
 
     def set_period(self, period_ms: float, timeout: float = 5.0) -> LatencySample:
         """Change the reporting period; returns the control-latency sample."""
-        cmd = ControlRequestPayload(CommandKind.SET_PERIOD,
-                                    issued_at=self.clock.now_ns(),
-                                    period_ms=period_ms)
-        decision = enforce_policy(self.policy, cmd, self.budget)
-        if decision.verdict == Verdict.REJECT:
-            raise PolicyViolation(decision.reason)
-        if decision.verdict == Verdict.CLAMP:
-            raise PolicyViolation(
-                f"period {period_ms} ms outside "
-                f"[{self.policy.min_period_ms}, {self.policy.max_period_ms}] ms"
-            )
+        # The policy judges a period change as it judges a periodic
+        # subscription at that period. Checking that request lets the command
+        # be built once, with an issue stamp that leaves the check out.
+        self._enforce(SubscriptionRequestPayload(SubscriptionMode.PERIODIC, period_ms=period_ms))
         issued = self.clock.now_ns()
-        ack = self._send_control(replace(cmd, issued_at=issued), timeout)
+        ack = self._send_control(ControlRequestPayload(
+            CommandKind.SET_PERIOD, issued_at=issued, period_ms=period_ms), timeout)
         self.current_period_ms = period_ms
         sample = LatencySample(
             sequence_number=-1, t0_ns=issued, t1_ns=issued,

@@ -40,10 +40,6 @@ class LengthMismatch(E2DecodeError):
     """Payload length inconsistent with the message type, or trailing bytes."""
 
 
-class ProtocolViolation(Exception):
-    """Event not legal in the current subscription state; message dropped."""
-
-
 class MsgType(enum.IntEnum):
     SUBSCRIPTION_REQUEST = 1
     SUBSCRIPTION_RESPONSE = 2

@@ -16,7 +16,6 @@ attached as clearly labeled annotations, never as pass/fail criteria.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .clock import SharedClock
-from .control import A1IsacPolicy, XApp, write_sample_log
+from .control import A1IsacPolicy, XApp, policy_from_dict, write_sample_log
 from .dapp import (
     DappConfig,
     SensingDapp,
@@ -33,23 +32,29 @@ from .dapp import (
     evaluate_triggers,
 )
 from .e2sm import SubscriptionMode, TriggerConfig
-from .ofh import BeamTable, WaveformConfig
-from .radio import EchoScene, Target, apply_scene, generate_probe, load_scene, scene_echo
+from .ofh import BeamTable, WaveformConfig, waveform_from_dict
+# SceneParseError is imported for callers: load_config and run_sensing_accuracy raise it.
+from .radio import (
+    EchoScene,
+    SceneParseError,
+    Target,
+    apply_scene,
+    generate_probe,
+    load_scene,
+    scene_echo,
+    scene_from_dict,
+)
 from .stats import (
     ExperimentSummary,
     compliance_table,
-    ecdf,
     latency_percentiles_ms,
     segment_stats,
+    write_ecdf_csv,
 )
 from .transport import EndpointKind, channel_pair
 
 
 class SetupFailure(Exception):
-    pass
-
-
-class SceneParseError(Exception):
     pass
 
 
@@ -91,67 +96,35 @@ class ExperimentConfig:
     out_dir: Path | None = None
 
 
+_CONFIG_FIELDS = {
+    "transport": EndpointKind,
+    "schedule_ms": lambda schedule: tuple(float(x) for x in schedule),
+    "segment_duration_s": float,
+    "probe_period_ms": float,
+    "num_probes": int,
+    "seed": int,
+    "accuracy_trials": int,
+}
+
+
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
-    """Build an experiment configuration from a JSON document."""
+    """Build an experiment configuration from a JSON document.
+
+    ``scene``, ``waveform`` and ``policy`` go through their own documents'
+    parsers; a key the document leaves out keeps its ``ExperimentConfig``
+    default. ``overrides`` replace fields after the document is read.
+    """
     doc = json.loads(Path(path).read_text())
-    cfg = ExperimentConfig()
-    if "schedule_ms" in doc:
-        cfg.schedule_ms = tuple(float(x) for x in doc["schedule_ms"])
-    if "segment_duration_s" in doc:
-        cfg.segment_duration_s = float(doc["segment_duration_s"])
-    if "probe_period_ms" in doc:
-        cfg.probe_period_ms = float(doc["probe_period_ms"])
-    if "num_probes" in doc:
-        cfg.num_probes = int(doc["num_probes"])
-    if "seed" in doc:
-        cfg.seed = int(doc["seed"])
-    if "accuracy_trials" in doc:
-        cfg.accuracy_trials = int(doc["accuracy_trials"])
-    if "transport" in doc:
-        cfg.transport = EndpointKind(doc["transport"])
+    cfg = ExperimentConfig(**{key: parse(doc[key])
+                              for key, parse in _CONFIG_FIELDS.items() if key in doc})
     if "scene" in doc:
-        try:
-            targets = tuple(
-                Target(
-                    range_m=float(t["range_m"]),
-                    radial_velocity_mps=float(t.get("radial_velocity_mps", 0.0)),
-                    azimuth_deg=float(t.get("azimuth_deg", 0.0)),
-                    amplitude=float(t.get("amplitude", 1.0)),
-                )
-                for t in doc["scene"].get("targets", [])
-            )
-            snr = doc["scene"].get("snr_db")
-            si = doc["scene"].get("residual_si_power_db")
-            cfg.scene = EchoScene(
-                targets=targets,
-                snr_db=math.inf if snr is None else float(snr),
-                residual_si_power_db=-math.inf if si is None else float(si),
-                seed=int(doc["scene"].get("seed", cfg.seed)),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(str(e)) from e
+        # A scene without a seed of its own takes the experiment's.
+        cfg.scene = scene_from_dict({"seed": cfg.seed, **doc["scene"]})
     if "waveform" in doc:
-        w = doc["waveform"]
-        cfg.waveform = WaveformConfig(
-            fft_size=int(w["fft_size"]),
-            cp_length=int(w["cp_length"]),
-            subcarrier_spacing=float(w["subcarrier_spacing"]),
-            pilot_pattern=str(w.get("pilot_pattern", "qpsk-prs")),
-            carrier_frequency=float(w["carrier_frequency"]),
-            bandwidth=float(w["bandwidth"]),
-            num_symbols=int(w["num_symbols"]),
-        )
+        cfg.waveform = waveform_from_dict(doc["waveform"])
     if "policy" in doc:
-        p = doc["policy"]
-        cfg.policy = A1IsacPolicy(
-            policy_id=str(p.get("policy_id", "default")),
-            min_period_ms=float(p.get("min_period_ms", 1.0)),
-            max_period_ms=float(p.get("max_period_ms", 1000.0)),
-            temporal_budget_ms_per_s=float(p.get("temporal_budget_ms_per_s", 1000.0)),
-        )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+        cfg.policy = policy_from_dict(doc["policy"])
+    return replace(cfg, **overrides)
 
 
 @dataclass
@@ -292,10 +265,7 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        points = ecdf(telemetry)
-        lines = ["latency_ms,cumulative_fraction"]
-        lines += [f"{v:.6f},{f:.6f}" for v, f in points]
-        (out / "latency_cdf.csv").write_text("\n".join(lines) + "\n")
+        write_ecdf_csv(telemetry, out / "latency_cdf.csv")
         lines = ["sequence_number,telemetry_ms,control_ms,closed_loop_ms"]
         lines += [
             f"{s.sequence_number},{t:.6f},{c:.6f},{l:.6f}"
@@ -331,13 +301,7 @@ def run_sensing_accuracy(cfg: ExperimentConfig,
                          scene_path: str | Path | None = None,
                          trigger: TriggerConfig | None = None) -> AccuracyReport:
     """Score the estimation pipeline against simulator ground truth."""
-    if scene_path is not None:
-        try:
-            scene = load_scene(scene_path)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(str(e)) from e
-    else:
-        scene = cfg.scene
+    scene = cfg.scene if scene_path is None else load_scene(scene_path)
 
     wf = replace(cfg.waveform, num_symbols=max(cfg.waveform.num_symbols, 64))
     grid, time_probe = generate_probe(wf, seed=cfg.seed)

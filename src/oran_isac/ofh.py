@@ -135,12 +135,27 @@ def lookup_waveform(table: dict[int, WaveformConfig], waveform_id: int) -> Wavef
         raise UnknownWaveformId(f"waveform id {waveform_id} not registered") from None
 
 
+def waveform_from_dict(doc: dict) -> WaveformConfig:
+    """Build one waveform configuration from its parsed JSON object.
+
+    Keys: fft_size, cp_length, subcarrier_spacing, carrier_frequency,
+    bandwidth, num_symbols and, optionally, pilot_pattern ("qpsk-prs").
+    """
+    return WaveformConfig(
+        fft_size=int(doc["fft_size"]),
+        cp_length=int(doc["cp_length"]),
+        subcarrier_spacing=float(doc["subcarrier_spacing"]),
+        pilot_pattern=str(doc.get("pilot_pattern", "qpsk-prs")),
+        carrier_frequency=float(doc["carrier_frequency"]),
+        bandwidth=float(doc["bandwidth"]),
+        num_symbols=int(doc["num_symbols"]),
+    )
+
+
 def load_waveform_table(path: str | Path) -> dict[int, WaveformConfig]:
     """Load the startup waveform table from a JSON document.
 
-    Format: list of objects with keys id, fft_size, cp_length,
-    subcarrier_spacing, pilot_pattern, carrier_frequency, bandwidth,
-    num_symbols.
+    Format: list of ``waveform_from_dict`` objects, each with its own ``id``.
     """
     entries = json.loads(Path(path).read_text())
     table: dict[int, WaveformConfig] = {}
@@ -148,15 +163,7 @@ def load_waveform_table(path: str | Path) -> dict[int, WaveformConfig]:
         wid = int(e["id"])
         if wid in table:
             raise ValueError(f"duplicate waveform id {wid}")
-        table[wid] = WaveformConfig(
-            fft_size=int(e["fft_size"]),
-            cp_length=int(e["cp_length"]),
-            subcarrier_spacing=float(e["subcarrier_spacing"]),
-            pilot_pattern=str(e["pilot_pattern"]),
-            carrier_frequency=float(e["carrier_frequency"]),
-            bandwidth=float(e["bandwidth"]),
-            num_symbols=int(e["num_symbols"]),
-        )
+        table[wid] = waveform_from_dict(e)
     return table
 
 

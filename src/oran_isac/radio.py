@@ -43,6 +43,10 @@ class DelayExceedsBurst(RadioSimError):
     """A target's round-trip delay does not fit inside the probing burst."""
 
 
+class SceneParseError(Exception):
+    """A scene document is not valid JSON or has a malformed field."""
+
+
 @dataclass(frozen=True)
 class Target:
     range_m: float                # >= 0
@@ -206,23 +210,38 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     return block, echo.truth
 
 
+def scene_from_dict(doc: dict) -> EchoScene:
+    """Build a scene from its parsed JSON document.
+
+    A missing ``snr_db`` means no noise, a missing ``residual_si_power_db``
+    means no self-interference. Any malformed field raises ``SceneParseError``.
+    """
+    try:
+        targets = tuple(
+            Target(
+                range_m=float(t["range_m"]),
+                radial_velocity_mps=float(t.get("radial_velocity_mps", 0.0)),
+                azimuth_deg=float(t.get("azimuth_deg", 0.0)),
+                amplitude=float(t.get("amplitude", 1.0)),
+            )
+            for t in doc.get("targets", [])
+        )
+        snr = doc.get("snr_db")
+        si = doc.get("residual_si_power_db")
+        return EchoScene(
+            targets=targets,
+            snr_db=math.inf if snr is None else float(snr),
+            residual_si_power_db=-math.inf if si is None else float(si),
+            seed=int(doc.get("seed", 0)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise SceneParseError(str(e)) from e
+
+
 def load_scene(path: str | Path) -> EchoScene:
     """Read a scene description from a JSON document."""
-    doc = json.loads(Path(path).read_text())
-    targets = tuple(
-        Target(
-            range_m=float(t["range_m"]),
-            radial_velocity_mps=float(t.get("radial_velocity_mps", 0.0)),
-            azimuth_deg=float(t.get("azimuth_deg", 0.0)),
-            amplitude=float(t.get("amplitude", 1.0)),
-        )
-        for t in doc.get("targets", [])
-    )
-    snr = doc.get("snr_db")
-    si = doc.get("residual_si_power_db")
-    return EchoScene(
-        targets=targets,
-        snr_db=math.inf if snr is None else float(snr),
-        residual_si_power_db=-math.inf if si is None else float(si),
-        seed=int(doc.get("seed", 0)),
-    )
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise SceneParseError(str(e)) from e
+    return scene_from_dict(doc)

@@ -173,7 +173,7 @@ def compliance_table(latencies_ms,
 def write_ecdf_csv(values_ms, path: str | Path) -> None:
     points = ecdf(values_ms)
     lines = ["latency_ms,cumulative_fraction"]
-    lines += [f"{v},{f}" for v, f in points]
+    lines += [f"{v:.6f},{f:.6f}" for v, f in points]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

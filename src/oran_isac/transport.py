@@ -20,7 +20,6 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
 DEFAULT_OUTBOX_BOUND = 1024
 
@@ -46,12 +45,6 @@ class Backpressure(TransportError):
 class EndpointKind(enum.Enum):
     IN_PROCESS = "inproc"
     TCP = "tcp"
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    kind: EndpointKind
-    address: str = ""
 
 
 class Channel:

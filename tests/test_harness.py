@@ -1,9 +1,11 @@
 """Experiment harness smoke tests at reduced scale."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from oran_isac.control import PolicyViolation, XApp, load_policy
 from oran_isac.harness import (
     ExperimentConfig,
     SceneParseError,
@@ -15,7 +17,11 @@ from oran_isac.harness import (
     run_experiment_b,
     run_sensing_accuracy,
 )
-from oran_isac.transport import EndpointKind
+from oran_isac.ofh import load_waveform_table
+from oran_isac.radio import load_scene
+from oran_isac.transport import EndpointKind, channel_pair
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -82,6 +88,57 @@ class TestLoadConfig:
         path.write_text(json.dumps({"scene": {"targets": [{"speed": 3}]}}))
         with pytest.raises(SceneParseError):
             load_config(path)
+
+    def test_scene_takes_experiment_seed_unless_it_has_its_own(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"seed": 4, "scene": {"targets": []}}))
+        assert load_config(path).scene.seed == 4
+        path.write_text(json.dumps({"seed": 4, "scene": {"targets": [], "seed": 9}}))
+        assert load_config(path).scene.seed == 9
+
+    def test_policy_geographic_scope_is_enforced(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"policy": {"geographic_scope": [[-10, 10]]}}))
+        cfg = load_config(path)
+        _, xapp_end = channel_pair()
+        xapp = XApp(xapp_end, policy=cfg.policy)
+        with pytest.raises(PolicyViolation):
+            xapp.set_beam(8, 60.0)
+
+
+class TestConfigFiles:
+    """Every example document loads through its own loader."""
+
+    LOADERS = {
+        "experiment.json": load_config,
+        "policy.json": load_policy,
+        "scene.json": load_scene,
+        "waveforms.json": load_waveform_table,
+    }
+
+    def test_every_file_has_a_loader_and_loads(self):
+        assert {p.name for p in CONFIGS.iterdir()} == set(self.LOADERS)
+        for name, loader in self.LOADERS.items():
+            loader(CONFIGS / name)
+
+    def test_experiment_values_reach_config(self):
+        doc = json.loads((CONFIGS / "experiment.json").read_text())
+        cfg = load_config(CONFIGS / "experiment.json")
+        assert cfg.schedule_ms == tuple(doc["schedule_ms"])
+        assert cfg.segment_duration_s == doc["segment_duration_s"]
+        assert cfg.probe_period_ms == doc["probe_period_ms"]
+        assert cfg.num_probes == doc["num_probes"]
+        assert cfg.accuracy_trials == doc["accuracy_trials"]
+        assert cfg.seed == doc["seed"]
+        assert cfg.transport == EndpointKind(doc["transport"])
+        (target,) = doc["scene"]["targets"]
+        assert cfg.scene.targets[0].range_m == target["range_m"]
+        assert cfg.scene.targets[0].radial_velocity_mps == target["radial_velocity_mps"]
+        assert cfg.scene.snr_db == doc["scene"]["snr_db"]
+        assert cfg.scene.residual_si_power_db == doc["scene"]["residual_si_power_db"]
+        assert cfg.scene.seed == doc["seed"]
+        assert cfg.policy.min_period_ms == doc["policy"]["min_period_ms"]
+        assert cfg.policy.max_period_ms == doc["policy"]["max_period_ms"]
 
 
 class TestExperimentA:
@@ -197,3 +254,30 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metadata"]["schedule_ms"] == [40.0, 20.0]
+
+    def test_config_file_values_are_honoured(self, tmp_path, capsys):
+        from oran_isac.cli import main
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"num_probes": 7, "probe_period_ms": 5.0,
+                                    "transport": "tcp", "accuracy_trials": 3}))
+        assert main(["exp-b", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sample_count"] == 7
+        assert doc["metadata"]["transport"] == "tcp"
+        assert doc["metadata"]["probe_period_ms"] == 5.0
+        assert main(["sense", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 3
+
+    def test_given_flag_overrides_config(self, tmp_path, capsys):
+        from oran_isac.cli import main
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"num_probes": 7, "transport": "tcp",
+                                    "accuracy_trials": 3}))
+        assert main(["exp-b", "--config", str(path), "--probes", "4",
+                     "--transport", "inproc", "--out", str(tmp_path / "b")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sample_count"] == 4
+        assert doc["metadata"]["transport"] == "inproc"
+        assert main(["sense", "--config", str(path), "--trials", "2",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 2

@@ -13,6 +13,7 @@ from oran_isac.radio import (
     Target,
     apply_scene,
     beam_gain,
+    SceneParseError,
     generate_probe,
     load_scene,
 )
@@ -203,3 +204,17 @@ def test_load_scene_defaults(tmp_path):
     scene = load_scene(path)
     assert scene.snr_db == math.inf
     assert scene.residual_si_power_db == -math.inf
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[]",
+    '{"targets": [{"speed": 3}]}',
+    '{"targets": [{"range_m": -1.0}]}',
+    '{"snr_db": "loud"}',
+])
+def test_load_scene_malformed(tmp_path, text):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    with pytest.raises(SceneParseError):
+        load_scene(path)
