@@ -12,6 +12,7 @@ the sensing time budget.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -48,6 +49,10 @@ class PolicyViolation(ControlError):
 
 class RequestTimeout(ControlError):
     pass
+
+
+class PolicyParseError(Exception):
+    """An A1 policy document has a malformed field."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,22 @@ _POLICY_FIELDS = {
 def policy_from_dict(doc: dict) -> A1IsacPolicy:
     """Build an A1 sensing policy from its parsed JSON document.
 
-    A missing key takes the ``A1IsacPolicy`` default.
+    A missing key takes the ``A1IsacPolicy`` default; a malformed one raises
+    ``PolicyParseError`` naming it.
     """
-    return A1IsacPolicy(**{key: parse(doc[key])
-                           for key, parse in _POLICY_FIELDS.items() if key in doc})
+    if not isinstance(doc, dict):
+        raise PolicyParseError(f"A1 policy: expected a JSON object, got {type(doc).__name__}")
+    values = {}
+    for key, parse in _POLICY_FIELDS.items():
+        if key in doc:
+            try:
+                values[key] = parse(doc[key])
+            except (TypeError, ValueError) as e:
+                raise PolicyParseError(f"A1 policy field {key!r}: {e}") from e
+    try:
+        return A1IsacPolicy(**values)
+    except ValueError as e:
+        raise PolicyParseError(f"A1 policy: {e}") from e
 
 
 def load_policy(path: str | Path) -> A1IsacPolicy:
@@ -222,8 +239,10 @@ class XApp:
         self.samples: list[LatencySample] = []
         self.subscription_id: int | None = None
         self.current_period_ms: float | None = None
-        self._corr = 0
-        self._pending: dict[int, list] = {}
+        self._corr = itertools.count(1)
+        # Correlation ids still awaited, each with its reply once it arrives.
+        self._pending: dict[int, E2SensMessage | None] = {}
+        self.late_replies = 0
         self._pending_cond = threading.Condition()
         self._report_cond = threading.Condition()
         self._stop = threading.Event()
@@ -249,9 +268,14 @@ class XApp:
                     self.reports.append(received)
                     self._report_cond.notify_all()
             else:
+                corr = msg.correlation_id
                 with self._pending_cond:
-                    self._pending.setdefault(msg.correlation_id, []).append(msg)
-                    self._pending_cond.notify_all()
+                    if corr in self._pending and self._pending[corr] is None:
+                        self._pending[corr] = msg
+                        self._pending_cond.notify_all()
+                    else:
+                        # Its request timed out, or it answers nothing asked.
+                        self.late_replies += 1
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._recv_loop, name="xapp-recv", daemon=True)
@@ -262,19 +286,31 @@ class XApp:
         if self._thread is not None:
             self._thread.join(join_timeout)
 
-    def _await_reply(self, corr: int, timeout: float) -> E2SensMessage:
-        deadline = time.monotonic() + timeout
+    def _request(self, msg_type: MsgType, payload, timeout: float) -> E2SensMessage:
+        """Send one request and wait for the reply to its correlation id.
+
+        The id is awaited from before the send until the wait ends, so the
+        receive loop files only replies that someone still waits for.
+        """
+        corr = self._next_corr()
         with self._pending_cond:
-            while not self._pending.get(corr):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RequestTimeout(f"no reply for correlation id {corr}")
-                self._pending_cond.wait(remaining)
-            return self._pending[corr].pop(0)
+            self._pending[corr] = None
+        try:
+            self.channel.send(encode_message(E2SensMessage(msg_type, corr, payload)))
+            deadline = time.monotonic() + timeout
+            with self._pending_cond:
+                while self._pending[corr] is None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise RequestTimeout(f"no reply for correlation id {corr}")
+                    self._pending_cond.wait(remaining)
+                return self._pending[corr]
+        finally:
+            with self._pending_cond:
+                del self._pending[corr]
 
     def _next_corr(self) -> int:
-        self._corr += 1
-        return self._corr
+        return next(self._corr)
 
     # -- operations ---------------------------------------------------------
 
@@ -295,10 +331,7 @@ class XApp:
         """Negotiate a subscription; returns the allocated subscription id."""
         request = SubscriptionRequestPayload(mode, period_ms=period_ms, trigger=trigger)
         self._enforce(request)
-        corr = self._next_corr()
-        self.channel.send(encode_message(E2SensMessage(
-            MsgType.SUBSCRIPTION_REQUEST, corr, request)))
-        reply = self._await_reply(corr, timeout)
+        reply = self._request(MsgType.SUBSCRIPTION_REQUEST, request, timeout)
         assert isinstance(reply.payload, SubscriptionResponsePayload)
         self.subscription_id = reply.payload.subscription_id
         if mode == SubscriptionMode.PERIODIC:
@@ -307,10 +340,7 @@ class XApp:
 
     def _send_control(self, payload: ControlRequestPayload,
                       timeout: float) -> ControlAckPayload:
-        corr = self._next_corr()
-        self.channel.send(encode_message(E2SensMessage(
-            MsgType.CONTROL_REQUEST, corr, payload)))
-        reply = self._await_reply(corr, timeout)
+        reply = self._request(MsgType.CONTROL_REQUEST, payload, timeout)
         assert isinstance(reply.payload, ControlAckPayload)
         return reply.payload
 
@@ -366,8 +396,9 @@ class XApp:
     def closed_loop_probe(self, timeout: float = 5.0) -> LatencySample:
         """One complete loop measurement: next indication plus a no-op control.
 
-        The control is a period refresh to the current value, so the probe is
-        side-effect free by construction.
+        The control is a period refresh to the current value. The dApp applies
+        and acks it like any command but keeps its report deadline grid, so
+        back-to-back probes see reports at the subscribed period.
         """
         if self.current_period_ms is None:
             raise ControlError("closed-loop probe needs an active periodic subscription")

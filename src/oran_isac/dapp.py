@@ -318,7 +318,13 @@ class SensingDapp:
             self.trigger = cmd.trigger
 
     def _handle_frame(self, frame: bytes) -> bool:
-        """Process one inbound frame; returns True when the period changed."""
+        """Process one inbound frame; returns True when the report schedule must restart.
+
+        That is when a subscription is accepted, which starts the cadence, or
+        when a control command moves the report period to a different value.
+        A period refresh to the current value is applied and acked like any
+        other command but keeps the deadline grid.
+        """
         msg = decode_message(frame)
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
             assert isinstance(msg.payload, SubscriptionRequestPayload)
@@ -333,6 +339,7 @@ class SensingDapp:
         if msg.msg_type == MsgType.CONTROL_REQUEST:
             assert isinstance(msg.payload, ControlRequestPayload)
             received_at = self.clock.now_ns()
+            period = self.config.report_period_ms
             self._apply_command(msg.payload)
             applied_at = self.clock.now_ns()
             ack = E2SensMessage(
@@ -341,7 +348,7 @@ class SensingDapp:
                 payload=ControlAckPayload(received_at, applied_at),
             )
             self.channel.send(encode_message(ack))
-            return msg.payload.kind == CommandKind.SET_PERIOD
+            return self.config.report_period_ms != period
         return False
 
     # -- run loop -----------------------------------------------------------
@@ -387,8 +394,8 @@ class SensingDapp:
                 except Timeout:
                     continue
                 if self._handle_frame(frame):
-                    # Period changes reset the schedule so the new cadence
-                    # starts from the command, not the old deadline grid.
+                    # A new subscription or period starts its cadence from
+                    # the frame, not the old deadline grid.
                     next_deadline = time.monotonic() + self.config.report_period_ms / 1e3
         except Disconnected:
             pass

@@ -6,6 +6,7 @@ Three experiments, mirroring the prototype methodology at desk scale:
   100 -> 20 -> 10 ms) and measure per-segment inter-arrival statistics.
 * Closed-loop latency: at a fixed period, pair every indication with a no-op
   control command and decompose the loop into telemetry and control parts.
+  The no-op keeps the dApp's deadline grid, so the probes run at the period.
 * Sensing accuracy: run the estimation pipeline over seeded scenes and score
   range/velocity errors against simulator ground truth.
 
@@ -118,8 +119,11 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(**{key: parse(doc[key])
                               for key, parse in _CONFIG_FIELDS.items() if key in doc})
     if "scene" in doc:
-        # A scene without a seed of its own takes the experiment's.
-        cfg.scene = scene_from_dict({"seed": cfg.seed, **doc["scene"]})
+        scene = doc["scene"]
+        if isinstance(scene, dict):
+            # A scene without a seed of its own takes the experiment's.
+            scene = {"seed": cfg.seed, **scene}
+        cfg.scene = scene_from_dict(scene)
     if "waveform" in doc:
         cfg.waveform = waveform_from_dict(doc["waveform"])
     if "policy" in doc:
@@ -230,7 +234,12 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
 
 
 def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Closed-loop latency: fixed period, paired telemetry + no-op control probes."""
+    """Closed-loop latency: fixed period, paired telemetry + no-op control probes.
+
+    Each probe waits for the next indication, then refreshes the period to its
+    current value. The refresh leaves the report schedule alone, so
+    ``num_probes`` probes take about ``num_probes * probe_period_ms``.
+    """
     clock = SharedClock()
     stack = _build_stack(cfg, clock)
     try:

@@ -44,6 +44,10 @@ class UnknownWaveformId(OfhError):
     coherently processed and the block must be dropped and counted."""
 
 
+class WaveformParseError(Exception):
+    """A waveform document has a missing or malformed field."""
+
+
 @dataclass(frozen=True)
 class SensingMetadata:
     """Per-block sensing header attached to fronthaul IQ transfers."""
@@ -135,21 +139,39 @@ def lookup_waveform(table: dict[int, WaveformConfig], waveform_id: int) -> Wavef
         raise UnknownWaveformId(f"waveform id {waveform_id} not registered") from None
 
 
+_WAVEFORM_FIELDS = {
+    "fft_size": int,
+    "cp_length": int,
+    "subcarrier_spacing": float,
+    "pilot_pattern": str,
+    "carrier_frequency": float,
+    "bandwidth": float,
+    "num_symbols": int,
+}
+
+
 def waveform_from_dict(doc: dict) -> WaveformConfig:
     """Build one waveform configuration from its parsed JSON object.
 
     Keys: fft_size, cp_length, subcarrier_spacing, carrier_frequency,
-    bandwidth, num_symbols and, optionally, pilot_pattern ("qpsk-prs").
+    bandwidth, num_symbols and, optionally, pilot_pattern ("qpsk-prs"). A
+    missing or malformed field raises ``WaveformParseError`` naming it.
     """
-    return WaveformConfig(
-        fft_size=int(doc["fft_size"]),
-        cp_length=int(doc["cp_length"]),
-        subcarrier_spacing=float(doc["subcarrier_spacing"]),
-        pilot_pattern=str(doc.get("pilot_pattern", "qpsk-prs")),
-        carrier_frequency=float(doc["carrier_frequency"]),
-        bandwidth=float(doc["bandwidth"]),
-        num_symbols=int(doc["num_symbols"]),
-    )
+    if not isinstance(doc, dict):
+        raise WaveformParseError(f"waveform: expected a JSON object, got {type(doc).__name__}")
+    doc = {"pilot_pattern": "qpsk-prs", **doc}
+    values = {}
+    for key, parse in _WAVEFORM_FIELDS.items():
+        try:
+            values[key] = parse(doc[key])
+        except KeyError:
+            raise WaveformParseError(f"waveform: missing field {key!r}") from None
+        except (TypeError, ValueError) as e:
+            raise WaveformParseError(f"waveform field {key!r}: {e}") from e
+    try:
+        return WaveformConfig(**values)
+    except ValueError as e:
+        raise WaveformParseError(f"waveform: {e}") from e
 
 
 def load_waveform_table(path: str | Path) -> dict[int, WaveformConfig]:

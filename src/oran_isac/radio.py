@@ -216,6 +216,8 @@ def scene_from_dict(doc: dict) -> EchoScene:
     A missing ``snr_db`` means no noise, a missing ``residual_si_power_db``
     means no self-interference. Any malformed field raises ``SceneParseError``.
     """
+    if not isinstance(doc, dict):
+        raise SceneParseError(f"scene: expected a JSON object, got {type(doc).__name__}")
     try:
         targets = tuple(
             Target(

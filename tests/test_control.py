@@ -1,6 +1,8 @@
 """Policy enforcement and xApp control-loop tests."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -10,21 +12,29 @@ from oran_isac.clock import SharedClock
 from oran_isac.control import (
     A1IsacPolicy,
     BudgetAccount,
+    PolicyParseError,
     PolicyViolation,
+    RequestTimeout,
     Verdict,
     XApp,
     check_beam,
     enforce_policy,
     load_policy,
+    policy_from_dict,
     write_sample_log,
 )
 from oran_isac.dapp import DappConfig, SensingDapp
 from oran_isac.e2sm import (
     CommandKind,
+    ControlAckPayload,
     ControlRequestPayload,
+    E2SensMessage,
+    MsgType,
     SubscriptionMode,
     SubscriptionRequestPayload,
     TriggerConfig,
+    decode_message,
+    encode_message,
 )
 from oran_isac.ofh import BeamTable, WaveformConfig
 from oran_isac.radio import EchoScene, Target
@@ -113,6 +123,23 @@ def test_load_policy(tmp_path):
     assert not policy.azimuth_in_scope(60.0)
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"min_period_ms": "x"}, "min_period_ms"),
+    ({"sensing_priority": None}, "sensing_priority"),
+    ({"geographic_scope": [[-45]]}, "geographic_scope"),
+], ids=["not-a-number", "null", "short-scope"])
+def test_malformed_policy_field_is_named(doc, field):
+    with pytest.raises(PolicyParseError, match=f"A1 policy field '{field}'"):
+        policy_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[1], {"min_period_ms": 10.0, "max_period_ms": 5.0}],
+                         ids=["not-an-object", "inverted-bounds"])
+def test_invalid_policy_document_raises_typed_error(doc):
+    with pytest.raises(PolicyParseError, match="A1 policy"):
+        policy_from_dict(doc)
+
+
 def stack(policy=POLICY, period_ms=20.0):
     cfg = WaveformConfig(64, 16, 100e6 / 64, "qpsk-prs", 3.5e9, 1e8, 4)
     scene = EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=20.0)
@@ -189,6 +216,46 @@ class TestXApp:
         assert xapp.reports
         for r in xapp.reports:
             assert r.t1_ns >= r.report.t0
+
+    def test_correlation_ids_are_distinct_across_threads(self):
+        xapp = XApp(channel_pair()[1])
+        ids: list[list[int]] = [[] for _ in range(4)]
+
+        def draw(out):
+            for _ in range(5000):
+                out.append(xapp._next_corr())
+
+        threads = [threading.Thread(target=draw, args=(out,)) for out in ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        drawn = [i for out in ids for i in out]
+        assert len(set(drawn)) == len(drawn) == 20000
+
+    def test_late_reply_is_counted_not_kept(self):
+        xapp_end, peer = channel_pair()
+        xapp = XApp(xapp_end)
+        xapp.start()
+        try:
+            with pytest.raises(RequestTimeout):
+                xapp.set_sic(False, timeout=0.05)
+            request = decode_message(peer.recv(timeout=1.0))
+            peer.send(encode_message(E2SensMessage(
+                MsgType.CONTROL_ACK, request.correlation_id, ControlAckPayload(0, 0))))
+            deadline = time.monotonic() + 2.0
+            while xapp.late_replies == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            xapp.stop()
+        assert xapp.late_replies == 1
+        assert xapp._pending == {}
 
 
 def test_sample_log_format(tmp_path):

@@ -29,6 +29,7 @@ from oran_isac.e2sm import (
     MsgType,
     SensingReport,
     SubscriptionMode,
+    SubscriptionRequestPayload,
     TriggerConfig,
     encode_message,
 )
@@ -334,6 +335,38 @@ class TestRunLoop:
         assert len(inter) >= 20
         assert np.median(inter) < 20.0
         assert not dapp.config.sic_enabled
+
+    def test_only_a_subscription_or_a_new_period_restarts_the_schedule(self):
+        dapp = offline_dapp(EchoScene(), DappConfig(report_period_ms=10.0))
+        assert not dapp._handle_frame(control_frame(1, CommandKind.SET_PERIOD, period_ms=10.0))
+        assert not dapp._handle_frame(control_frame(2, CommandKind.SET_SIC, sic_enabled=False))
+        assert dapp._handle_frame(control_frame(3, CommandKind.SET_PERIOD, period_ms=20.0))
+        assert dapp.config.report_period_ms == 20.0
+        subscribe = encode_message(E2SensMessage(
+            msg_type=MsgType.SUBSCRIPTION_REQUEST, correlation_id=4,
+            payload=SubscriptionRequestPayload(SubscriptionMode.PERIODIC, period_ms=20.0)))
+        assert dapp._handle_frame(subscribe)
+
+    def test_closed_loop_probes_keep_the_report_period(self):
+        """5 ms bursts on a 20 ms period: probing must not stretch the interval to ~25 ms."""
+        dapp, xapp = small_stack(period_ms=20.0)
+        sense = dapp.sense_once
+
+        def slow_sense():
+            time.sleep(0.005)
+            return sense()
+
+        dapp.sense_once = slow_sense
+        try:
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=20.0)
+            for _ in range(20):
+                xapp.closed_loop_probe(timeout=1.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        inter = np.diff([r.arrival_monotonic for r in xapp.reports]) * 1e3
+        assert len(inter) >= 19
+        assert np.median(inter) < 23.0
 
 
 # -- seeded bit-identity and the per-beam echo cache --------------------------

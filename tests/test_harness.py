@@ -89,6 +89,12 @@ class TestLoadConfig:
         with pytest.raises(SceneParseError):
             load_config(path)
 
+    def test_non_object_scene_raises(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"seed": 4, "scene": [1]}))
+        with pytest.raises(SceneParseError, match="scene: expected a JSON object"):
+            load_config(path)
+
     def test_scene_takes_experiment_seed_unless_it_has_its_own(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"seed": 4, "scene": {"targets": []}}))

@@ -12,6 +12,7 @@ from oran_isac.ofh import (
     SensingMetadata,
     UnknownWaveformId,
     WaveformConfig,
+    WaveformParseError,
     WrongLength,
     decode_metadata,
     encode_metadata,
@@ -20,6 +21,7 @@ from oran_isac.ofh import (
     load_waveform_table,
     lookup_waveform,
     parse_metadata_vector,
+    waveform_from_dict,
 )
 
 VECTORS = Path(__file__).resolve().parent.parent / "conformance" / "ofh_metadata_vectors.txt"
@@ -154,6 +156,23 @@ def test_load_waveform_table(tmp_path):
     table = load_waveform_table(path)
     assert table[3].fft_size == 256
     assert table[3].bandwidth == 1e8
+
+
+WAVEFORM_DOC = {"fft_size": 256, "cp_length": 64, "subcarrier_spacing": 390625.0,
+                "carrier_frequency": 3.5e9, "bandwidth": 1e8, "num_symbols": 16}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({**WAVEFORM_DOC, "fft_size": "x"}, "waveform field 'fft_size'"),
+    ({**WAVEFORM_DOC, "num_symbols": None}, "waveform field 'num_symbols'"),
+    ({k: v for k, v in WAVEFORM_DOC.items() if k != "cp_length"},
+     "waveform: missing field 'cp_length'"),
+    ({**WAVEFORM_DOC, "fft_size": 100}, "waveform: fft_size must be a power of two"),
+    ([1], "waveform: expected a JSON object"),
+], ids=["not-a-number", "null", "missing", "invalid", "not-an-object"])
+def test_malformed_waveform_document_is_named(doc, match):
+    with pytest.raises(WaveformParseError, match=match):
+        waveform_from_dict(doc)
 
 
 class TestFronthaulRate:
