@@ -5,6 +5,9 @@ time base, otherwise telemetry latency (receive minus generate) is
 meaningless. A single offset is captured at construction and added to the
 monotonic counter, so differences between stamps taken anywhere in the
 process are wall-clock-free and never go backwards.
+
+The same clock also drives the deadlines: the dApp's report schedule and the
+periodicity experiment's segment boundaries are read from it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +34,7 @@ from .e2sm import (
     TriggerConfig,
     decode_message,
     encode_message,
+    valid_period,
 )
 from .transport import Channel, Disconnected, Timeout
 
@@ -62,8 +62,6 @@ class A1IsacPolicy:
     policy_id: str = "default"
     geographic_scope: tuple[tuple[float, float], ...] = ((-180.0, 180.0),)
     temporal_budget_ms_per_s: float = 1000.0
-    sensing_priority: int = 128
-    energy_limit: float = 1.0
     min_period_ms: float = 1.0
     max_period_ms: float = 1000.0
 
@@ -72,10 +70,6 @@ class A1IsacPolicy:
             raise ValueError("min_period_ms must not exceed max_period_ms")
         if not 0.0 <= self.temporal_budget_ms_per_s <= 1000.0:
             raise ValueError("temporal budget must be within one second per second")
-        if not 0 <= self.sensing_priority <= 255:
-            raise ValueError("sensing_priority out of [0, 255]")
-        if not 0.0 <= self.energy_limit <= 1.0:
-            raise ValueError("energy_limit out of [0, 1]")
 
     def azimuth_in_scope(self, azimuth_deg: float) -> bool:
         return any(lo <= azimuth_deg <= hi for lo, hi in self.geographic_scope)
@@ -85,8 +79,6 @@ _POLICY_FIELDS = {
     "policy_id": str,
     "geographic_scope": lambda scope: tuple((float(lo), float(hi)) for lo, hi in scope),
     "temporal_budget_ms_per_s": float,
-    "sensing_priority": int,
-    "energy_limit": float,
     "min_period_ms": float,
     "max_period_ms": float,
 }
@@ -95,11 +87,14 @@ _POLICY_FIELDS = {
 def policy_from_dict(doc: dict) -> A1IsacPolicy:
     """Build an A1 sensing policy from its parsed JSON document.
 
-    A missing key takes the ``A1IsacPolicy`` default; a malformed one raises
-    ``PolicyParseError`` naming it.
+    A missing key takes the ``A1IsacPolicy`` default; a malformed or unknown
+    one raises ``PolicyParseError`` naming it.
     """
     if not isinstance(doc, dict):
         raise PolicyParseError(f"A1 policy: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(doc.keys() - _POLICY_FIELDS.keys())
+    if unknown:
+        raise PolicyParseError(f"A1 policy field {unknown[0]!r}: not in the A1 policy schema")
     values = {}
     for key, parse in _POLICY_FIELDS.items():
         if key in doc:
@@ -173,8 +168,8 @@ def enforce_policy(policy: A1IsacPolicy,
     else:
         return PolicyDecision(Verdict.ACCEPT)
 
-    if period <= 0:
-        return PolicyDecision(Verdict.REJECT, "NON_POSITIVE_PERIOD")
+    if not valid_period(period):
+        return PolicyDecision(Verdict.REJECT, "INVALID_PERIOD")
     clamped = min(max(period, policy.min_period_ms), policy.max_period_ms)
     if clamped != period:
         return PolicyDecision(Verdict.CLAMP, "PERIOD_OUT_OF_BOUNDS", period_ms=clamped)
@@ -218,7 +213,6 @@ class LatencySample:
 class ReceivedReport:
     report: SensingReport
     t1_ns: int
-    arrival_monotonic: float
 
 
 class XApp:
@@ -259,11 +253,10 @@ class XApp:
             except Disconnected:
                 break
             t1 = self.clock.now_ns()
-            arrival = time.monotonic()
             msg = decode_message(frame)
             if msg.msg_type == MsgType.INDICATION:
                 assert isinstance(msg.payload, SensingReport)
-                received = ReceivedReport(msg.payload, t1, arrival)
+                received = ReceivedReport(msg.payload, t1)
                 with self._report_cond:
                     self.reports.append(received)
                     self._report_cond.notify_all()
@@ -297,13 +290,10 @@ class XApp:
             self._pending[corr] = None
         try:
             self.channel.send(encode_message(E2SensMessage(msg_type, corr, payload)))
-            deadline = time.monotonic() + timeout
             with self._pending_cond:
-                while self._pending[corr] is None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise RequestTimeout(f"no reply for correlation id {corr}")
-                    self._pending_cond.wait(remaining)
+                if not self._pending_cond.wait_for(
+                        lambda: self._pending[corr] is not None, timeout):
+                    raise RequestTimeout(f"no reply for correlation id {corr}")
                 return self._pending[corr]
         finally:
             with self._pending_cond:
@@ -354,11 +344,10 @@ class XApp:
         ack = self._send_control(ControlRequestPayload(
             CommandKind.SET_PERIOD, issued_at=issued, period_ms=period_ms), timeout)
         self.current_period_ms = period_ms
-        sample = LatencySample(
+        return LatencySample(
             sequence_number=-1, t0_ns=issued, t1_ns=issued,
             t_cmd_issue_ns=issued, t_cmd_applied_ns=ack.applied_at,
         )
-        return sample
 
     def set_beam(self, beam_index: int, beam_azimuth_deg: float,
                  timeout: float = 5.0) -> ControlAckPayload:
@@ -384,13 +373,9 @@ class XApp:
 
     def await_report(self, after_index: int, timeout: float = 5.0) -> ReceivedReport:
         """Block until a report beyond the given index arrives."""
-        deadline = time.monotonic() + timeout
         with self._report_cond:
-            while len(self.reports) <= after_index:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RequestTimeout("no indication within deadline")
-                self._report_cond.wait(remaining)
+            if not self._report_cond.wait_for(lambda: len(self.reports) > after_index, timeout):
+                raise RequestTimeout("no indication within deadline")
             return self.reports[after_index]
 
     def closed_loop_probe(self, timeout: float = 5.0) -> LatencySample:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -31,9 +30,11 @@ from .e2sm import (
     SubscriptionMachine,
     SubscriptionMode,
     SubscriptionRequestPayload,
+    SubState,
     TriggerConfig,
     decode_message,
     encode_message,
+    valid_period,
 )
 from .ofh import BeamTable, IqBlock, WaveformConfig, lookup_waveform
 from .radio import SPEED_OF_LIGHT, EchoScene, SceneEcho, apply_scene, generate_probe, scene_echo
@@ -93,14 +94,13 @@ def _parabolic_offset(left: float, center: float, right: float) -> float:
     return max(-0.5, min(0.5, 0.5 * (l - r) / denom))
 
 
-def _second_peak(power_map: np.ndarray, peak: tuple[int, int],
-                 guard: int = _CONFIDENCE_GUARD) -> float:
+def _second_peak(power_map: np.ndarray, peak: tuple[int, int]) -> float:
     masked = power_map.copy()
     di = np.arange(power_map.shape[0])
     pi = np.arange(power_map.shape[1])
     d_dist = np.minimum(np.abs(di - peak[0]), power_map.shape[0] - np.abs(di - peak[0]))
     p_dist = np.minimum(np.abs(pi - peak[1]), power_map.shape[1] - np.abs(pi - peak[1]))
-    region = (d_dist[:, None] <= guard) & (p_dist[None, :] <= guard)
+    region = (d_dist[:, None] <= _CONFIDENCE_GUARD) & (p_dist[None, :] <= _CONFIDENCE_GUARD)
     masked[region] = 0.0
     return float(masked.max()) if masked.size else 0.0
 
@@ -130,11 +130,9 @@ def multipath_spread(power_delay_profile: np.ndarray, bin_width_s: float) -> flo
 
 def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
                   beam_table: BeamTable, beam_index: int, *,
-                  beam_sweep_powers: Iterable[float] | None = None,
                   waveform_id: int = 0,
-                  t0_ns: int = 0,
                   sequence_number: int = 0) -> SensingReport:
-    """Extract the telemetry record from one delay-Doppler map."""
+    """Extract the telemetry record from one delay-Doppler map; the run loop stamps ``t0``."""
     if power_map.size == 0:
         raise EmptyMap("delay-Doppler map is empty")
     n_delay, n_dopp = power_map.shape
@@ -165,10 +163,9 @@ def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
     confidence = 1.0 if second <= 0.0 else min(1.0, peak / second - 1.0)
 
     az, el = beam_table.direction(beam_index)
-    sweep = beam_sweep_powers if beam_sweep_powers is not None else [peak]
 
     return SensingReport(
-        t0=t0_ns,
+        t0=0,
         delay_s=delay_s,
         range_m=SPEED_OF_LIGHT * delay_s / 2.0,
         doppler_hz=doppler_hz,
@@ -178,7 +175,8 @@ def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
         echo_energy_db=10.0 * math.log10(max(peak, 1e-300)),
         si_power_db=10.0 * math.log10(max(float(power_map[0, 0]), 1e-300)),
         multipath_spread_s=multipath_spread(power_map[:, 0], delay_bin),
-        angular_entropy=angular_entropy(sweep),
+        # A burst probes one beam, so its sweep holds that beam's peak alone.
+        angular_entropy=angular_entropy([peak]),
         confidence=confidence,
         beam_index=beam_index,
         waveform_id=waveform_id,
@@ -214,8 +212,8 @@ class DappConfig:
     waveform_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.report_period_ms <= 0:
-            raise ValueError("report_period_ms must be positive")
+        if not valid_period(self.report_period_ms):
+            raise ValueError(f"report_period_ms {self.report_period_ms} out of range")
 
 
 # Residual self-interference when the canceler is switched off: no
@@ -233,7 +231,8 @@ class SensingDapp:
     Owns its configuration, sequence counter, and subscription machine on one
     worker thread; the channel is the only cross-thread boundary. Control
     commands are applied as they arrive, always between emissions, and each is
-    acknowledged with its receive and apply timestamps.
+    acknowledged with its receive and apply timestamps; one with an
+    out-of-range value is counted in ``refused_commands`` and left unanswered.
     """
 
     def __init__(self, config: DappConfig,
@@ -253,6 +252,7 @@ class SensingDapp:
         self.sequence_number = 0
         self.prev_report: SensingReport | None = None
         self.dropped_blocks = 0
+        self.refused_commands = 0
         self._probe_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
         # all that _apply_command can change about a burst besides its seed.
@@ -303,19 +303,21 @@ class SensingDapp:
 
     # -- control ------------------------------------------------------------
 
-    def _apply_command(self, cmd: ControlRequestPayload) -> None:
+    def _apply_command(self, cmd: ControlRequestPayload) -> bool:
+        """Apply one command; False, with nothing changed, for an out-of-range value."""
         if cmd.kind == CommandKind.SET_PERIOD:
-            if cmd.period_ms <= 0:
-                raise ValueError("period must be positive")
+            if not valid_period(cmd.period_ms):
+                return False
             self.config.report_period_ms = cmd.period_ms
         elif cmd.kind == CommandKind.SET_BEAM:
             if cmd.beam_index not in self.beam_table:
-                raise ValueError(f"beam {cmd.beam_index} not in table")
+                return False
             self.config.active_beam = cmd.beam_index
         elif cmd.kind == CommandKind.SET_SIC:
             self.config.sic_enabled = cmd.sic_enabled
         else:
             self.trigger = cmd.trigger
+        return True
 
     def _handle_frame(self, frame: bytes) -> bool:
         """Process one inbound frame; returns True when the report schedule must restart.
@@ -340,7 +342,9 @@ class SensingDapp:
             assert isinstance(msg.payload, ControlRequestPayload)
             received_at = self.clock.now_ns()
             period = self.config.report_period_ms
-            self._apply_command(msg.payload)
+            if not self._apply_command(msg.payload):
+                self.refused_commands += 1
+                return False
             applied_at = self.clock.now_ns()
             ack = E2SensMessage(
                 msg_type=MsgType.CONTROL_ACK,
@@ -369,6 +373,9 @@ class SensingDapp:
             self.dropped_blocks += 1
         self.prev_report = report
 
+    def _period_ns(self) -> int:
+        return round(self.config.report_period_ms * 1e6)
+
     def run(self) -> None:
         """Serve the channel until stopped or the transport closes.
 
@@ -376,27 +383,28 @@ class SensingDapp:
         overruns its slot is followed by the next one after a short gap
         (``_LATE_GAP`` of the period), not a full period later, so the report
         interval grows with the burst time instead of jumping to twice the
-        period.
+        period. Deadlines are integer nanoseconds of ``self.clock``: a float
+        of an epoch-anchored count keeps only about 256 ns of precision.
         """
-        next_deadline = time.monotonic() + self.config.report_period_ms / 1e3
+        next_deadline = self.clock.now_ns() + self._period_ns()
         try:
             while not self._stop.is_set():
-                now = time.monotonic()
+                now = self.clock.now_ns()
                 if now >= next_deadline:
-                    if self.machine.state.name == "ACTIVE":
+                    if self.machine.state == SubState.ACTIVE:
                         self._emit()
-                    period = self.config.report_period_ms / 1e3
+                    period = self._period_ns()
                     next_deadline = max(next_deadline + period,
-                                        time.monotonic() + _LATE_GAP * period)
+                                        self.clock.now_ns() + round(_LATE_GAP * period))
                     continue
                 try:
-                    frame = self.channel.recv(timeout=next_deadline - now)
+                    frame = self.channel.recv(timeout=(next_deadline - now) / 1e9)
                 except Timeout:
                     continue
                 if self._handle_frame(frame):
                     # A new subscription or period starts its cadence from
                     # the frame, not the old deadline grid.
-                    next_deadline = time.monotonic() + self.config.report_period_ms / 1e3
+                    next_deadline = self.clock.now_ns() + self._period_ns()
         except Disconnected:
             pass
         finally:

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 PROTOCOL_VERSION = 1
 HEADER_SIZE = 10
 
+# The longest report period the loop can schedule: one hour.
+MAX_PERIOD_MS = 3_600_000.0
+
 _HEADER = struct.Struct(">BBII")
 _F64 = struct.Struct(">d")
 
@@ -38,6 +41,11 @@ class UnknownType(E2DecodeError):
 
 class LengthMismatch(E2DecodeError):
     """Payload length inconsistent with the message type, or trailing bytes."""
+
+
+def valid_period(period_ms: float) -> bool:
+    """The one range rule for a report period; NaN and infinities fail it."""
+    return 0.0 < period_ms <= MAX_PERIOD_MS
 
 
 class MsgType(enum.IntEnum):
@@ -311,8 +319,6 @@ class SubEvent(enum.Enum):
 class Subscription:
     subscription_id: int
     mode: SubscriptionMode
-    period_ms: float = 0.0
-    trigger: TriggerConfig = TriggerConfig()
     state: SubState = SubState.PENDING
 
 
@@ -357,16 +363,11 @@ class SubscriptionMachine:
                 return self._violate(event)
             if request is None:
                 raise ValueError("REQUEST_RECEIVED needs the request payload")
-            if request.mode == SubscriptionMode.PERIODIC and request.period_ms <= 0:
+            if request.mode == SubscriptionMode.PERIODIC and not valid_period(request.period_ms):
                 return self._violate(event)
             if request.mode == SubscriptionMode.EVENT and request.trigger.empty:
                 return self._violate(event)
-            sub = Subscription(
-                subscription_id=self._next_id,
-                mode=request.mode,
-                period_ms=request.period_ms,
-                trigger=request.trigger,
-            )
+            sub = Subscription(subscription_id=self._next_id, mode=request.mode)
             self._next_id += 1
             self.subscription = sub
             response = E2SensMessage(

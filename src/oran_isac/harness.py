@@ -166,14 +166,14 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
         raise SetupFailure("empty period schedule")
     clock = SharedClock()
     stack = _build_stack(cfg, clock)
-    boundaries: list[tuple[float, float]] = []  # (monotonic time, target period)
+    boundaries: list[tuple[int, float]] = []  # (clock ns, target period)
     try:
         stack.xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=cfg.schedule_ms[0])
-        boundaries.append((time.monotonic(), cfg.schedule_ms[0]))
+        boundaries.append((clock.now_ns(), cfg.schedule_ms[0]))
         for target in cfg.schedule_ms[1:]:
             time.sleep(cfg.segment_duration_s)
             stack.xapp.set_period(target)
-            boundaries.append((time.monotonic(), target))
+            boundaries.append((clock.now_ns(), target))
         time.sleep(cfg.segment_duration_s)
         reports = list(stack.xapp.reports)
         drops = stack.dapp.channel.drops + stack.dapp.dropped_blocks
@@ -192,12 +192,12 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
     settle: dict[int, int] = {i: 0 for i in range(len(boundaries))}
     t_start = boundaries[0][0]
     for prev, curr in zip(reports, reports[1:]):
-        inter_ms = (curr.arrival_monotonic - prev.arrival_monotonic) * 1e3
+        inter_ms = (curr.t1_ns - prev.t1_ns) / 1e6
         seg = 0
         for i, (t_b, _) in enumerate(boundaries):
-            if curr.arrival_monotonic >= t_b:
+            if curr.t1_ns >= t_b:
                 seg = i
-        rows.append((curr.arrival_monotonic - t_start, inter_ms, boundaries[seg][1]))
+        rows.append(((curr.t1_ns - t_start) / 1e9, inter_ms, boundaries[seg][1]))
         # The first two intervals after a period change may straddle the old
         # cadence; the transition allowance excludes them from segment stats.
         if settle[seg] < 2:

@@ -177,14 +177,26 @@ def waveform_from_dict(doc: dict) -> WaveformConfig:
 def load_waveform_table(path: str | Path) -> dict[int, WaveformConfig]:
     """Load the startup waveform table from a JSON document.
 
-    Format: list of ``waveform_from_dict`` objects, each with its own ``id``.
+    Format: list of ``waveform_from_dict`` objects, each with its own integer
+    ``id``. A malformed entry raises ``WaveformParseError`` naming its index.
     """
     entries = json.loads(Path(path).read_text())
+    if not isinstance(entries, list):
+        raise WaveformParseError(
+            f"waveform table: expected a JSON list, got {type(entries).__name__}")
     table: dict[int, WaveformConfig] = {}
-    for e in entries:
-        wid = int(e["id"])
+    for i, e in enumerate(entries):
+        where = f"waveform table entry {i}"
+        if not isinstance(e, dict):
+            raise WaveformParseError(f"{where}: expected a JSON object, got {type(e).__name__}")
+        if "id" not in e:
+            raise WaveformParseError(f"{where}: missing field 'id'")
+        try:
+            wid = int(e["id"])
+        except (TypeError, ValueError) as err:
+            raise WaveformParseError(f"{where} field 'id': {err}") from err
         if wid in table:
-            raise ValueError(f"duplicate waveform id {wid}")
+            raise WaveformParseError(f"{where}: duplicate id {wid}")
         table[wid] = waveform_from_dict(e)
     return table
 

@@ -31,7 +31,7 @@ from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig
 SPEED_OF_LIGHT = 299_792_458.0
 
 # Beam pattern: Gaussian mainlobe over azimuth offset with a sidelobe floor.
-DEFAULT_BEAMWIDTH_DEG = 10.0
+BEAMWIDTH_DEG = 10.0
 SIDELOBE_FLOOR_DB = -30.0
 
 
@@ -91,12 +91,11 @@ class GroundTruth:
     beam_gains: tuple[float, ...]     # linear power gains actually applied
 
 
-def beam_gain(target_azimuth_deg: float, beam_azimuth_deg: float,
-              beamwidth_deg: float = DEFAULT_BEAMWIDTH_DEG) -> float:
+def beam_gain(target_azimuth_deg: float, beam_azimuth_deg: float) -> float:
     """Linear power gain of the probing beam toward an azimuth offset."""
     delta = abs(target_azimuth_deg - beam_azimuth_deg)
     delta = min(delta, 360.0 - delta)
-    sigma = beamwidth_deg / 2.0
+    sigma = BEAMWIDTH_DEG / 2.0
     gain = math.exp(-((delta / sigma) ** 2))
     return max(gain, 10.0 ** (SIDELOBE_FLOOR_DB / 10.0))
 
@@ -140,8 +139,7 @@ class SceneEcho:
 
 
 def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
-               beam: int, beam_table: BeamTable, *,
-               beamwidth_deg: float = DEFAULT_BEAMWIDTH_DEG) -> SceneEcho:
+               beam: int, beam_table: BeamTable) -> SceneEcho:
     """Propagate the probe through the scene's targets on one beam, without noise."""
     fs = cfg.sample_rate
     beam_az, _ = beam_table.direction(beam)
@@ -158,7 +156,7 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
                 f"{cfg.burst_duration:.3e} s"
             )
         doppler = t.doppler_hz(cfg.carrier_frequency)
-        gain = beam_gain(t.azimuth_deg, beam_az, beamwidth_deg)
+        gain = beam_gain(t.azimuth_deg, beam_az)
         power = t.amplitude * gain
         echo = _fractional_delay(probe, delay * fs)
         echo = echo * np.exp(2j * np.pi * doppler * n / fs)
@@ -182,15 +180,14 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
 def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
                 beam: int, beam_table: BeamTable, *,
                 echo: SceneEcho | None = None,
-                waveform_id: int = 0, tx_timestamp: int = 0,
-                beamwidth_deg: float = DEFAULT_BEAMWIDTH_DEG) -> tuple[IqBlock, GroundTruth]:
+                waveform_id: int = 0, tx_timestamp: int = 0) -> tuple[IqBlock, GroundTruth]:
     """Propagate the probe through the scene as seen on one probing beam.
 
     ``echo`` is a ``scene_echo`` result for the same probe, cfg, scene targets,
     SI level and beam; given, only the noise of ``scene.seed`` is drawn.
     """
     if echo is None:
-        echo = scene_echo(probe, cfg, scene, beam, beam_table, beamwidth_deg=beamwidth_deg)
+        echo = scene_echo(probe, cfg, scene, beam, beam_table)
     rx = echo.samples
     if scene.snr_db < math.inf:
         rng = np.random.default_rng(scene.seed)

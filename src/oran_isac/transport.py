@@ -3,13 +3,13 @@
 Both implementations deliver frames intact and in order over a full-duplex
 channel pair. The in-process variant is a pair of bounded deques guarded by
 conditions; the TCP variant is a loopback socket with a 4-byte big-endian
-length prefix per frame. Keeping the contract identical lets the latency
-experiments isolate protocol cost from transport cost.
+length prefix per frame.
 
-Backpressure policy lives with the caller: ``send`` raises when a bounded
-outbox is full unless the frame was marked droppable, in which case the
-oldest droppable frame is evicted instead (stale telemetry is worthless;
-control messages and acks must survive).
+Backpressure differs between them. In process, ``send`` raises when the
+bounded outbox is full unless the frame was marked droppable, in which case
+the oldest droppable frame is evicted instead (stale telemetry is worthless;
+control messages and acks must survive). Over TCP nothing is dropped: a send
+blocks while the kernel's socket buffer is full, and ``drops`` stays 0.
 """
 
 from __future__ import annotations
@@ -93,15 +93,11 @@ class _InProcQueue:
             self._cond.notify()
 
     def get(self, timeout: float | None) -> bytes:
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._items:
-                if self.closed:
-                    raise Disconnected("peer closed")
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise Timeout("no frame within deadline")
-                self._cond.wait(remaining)
+            if not self._cond.wait_for(lambda: self._items or self.closed, timeout):
+                raise Timeout("no frame within deadline")
+            if not self._items:
+                raise Disconnected("peer closed")
             return self._items.popleft()[0]
 
     def close(self) -> None:
@@ -133,14 +129,12 @@ class InProcChannel(Channel):
 class TcpChannel(Channel):
     """Length-prefixed framing over a connected loopback socket."""
 
-    def __init__(self, sock: socket.socket, outbox_bound: int = DEFAULT_OUTBOX_BOUND) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._recv_buf = b""
-        self._drops = 0
-        self._outbox_bound = outbox_bound
 
     def send(self, frame: bytes, droppable: bool = False) -> None:
         data = _LEN_PREFIX.pack(len(frame)) + frame
@@ -185,14 +179,10 @@ class TcpChannel(Channel):
             pass
         self._sock.close()
 
-    @property
-    def drops(self) -> int:
-        return self._drops
-
 
 def channel_pair(kind: EndpointKind = EndpointKind.IN_PROCESS,
                  outbox_bound: int = DEFAULT_OUTBOX_BOUND) -> tuple[Channel, Channel]:
-    """Create a connected full-duplex pair (side A, side B)."""
+    """Create a connected full-duplex pair (side A, side B); TCP has no outbox bound."""
     if kind == EndpointKind.IN_PROCESS:
         a_to_b = _InProcQueue(outbox_bound)
         b_to_a = _InProcQueue(outbox_bound)
@@ -207,7 +197,7 @@ def channel_pair(kind: EndpointKind = EndpointKind.IN_PROCESS,
     client.connect(("127.0.0.1", port))
     server, _ = listener.accept()
     listener.close()
-    return TcpChannel(server, outbox_bound), TcpChannel(client, outbox_bound)
+    return TcpChannel(server), TcpChannel(client)
 
 
 def send_telemetry(channel: Channel, frame: bytes) -> bool:

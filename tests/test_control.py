@@ -110,8 +110,6 @@ def test_load_policy(tmp_path):
         "policy_id": "sector-a",
         "geographic_scope": [[-45, 45]],
         "temporal_budget_ms_per_s": 200.0,
-        "sensing_priority": 10,
-        "energy_limit": 0.5,
         "min_period_ms": 5.0,
         "max_period_ms": 100.0,
     }
@@ -125,9 +123,10 @@ def test_load_policy(tmp_path):
 
 @pytest.mark.parametrize("doc, field", [
     ({"min_period_ms": "x"}, "min_period_ms"),
-    ({"sensing_priority": None}, "sensing_priority"),
+    ({"max_period_ms": None}, "max_period_ms"),
     ({"geographic_scope": [[-45]]}, "geographic_scope"),
-], ids=["not-a-number", "null", "short-scope"])
+    ({"energy_limit": 0.5}, "energy_limit"),
+], ids=["not-a-number", "null", "short-scope", "unknown-key"])
 def test_malformed_policy_field_is_named(doc, field):
     with pytest.raises(PolicyParseError, match=f"A1 policy field '{field}'"):
         policy_from_dict(doc)
@@ -238,6 +237,17 @@ class TestXApp:
         assert not any(t.is_alive() for t in threads)
         drawn = [i for out in ids for i in out]
         assert len(set(drawn)) == len(drawn) == 20000
+
+    def test_await_report_without_subscription_times_out(self):
+        xapp = XApp(channel_pair()[1])
+        xapp.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(RequestTimeout):
+                xapp.await_report(0, timeout=0.05)
+            assert time.monotonic() - start < 1.0
+        finally:
+            xapp.stop()
 
     def test_late_reply_is_counted_not_kept(self):
         xapp_end, peer = channel_pair()

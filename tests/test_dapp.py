@@ -23,17 +23,21 @@ from oran_isac.dapp import (
     multipath_spread,
 )
 from oran_isac.e2sm import (
+    MAX_PERIOD_MS,
     CommandKind,
     ControlRequestPayload,
     E2SensMessage,
     MsgType,
     SensingReport,
+    SubEvent,
+    SubscriptionMachine,
     SubscriptionMode,
     SubscriptionRequestPayload,
     TriggerConfig,
     encode_message,
+    valid_period,
 )
-from oran_isac.control import XApp
+from oran_isac.control import A1IsacPolicy, RequestTimeout, Verdict, XApp, enforce_policy
 from oran_isac.ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig
 from oran_isac.radio import (
     SPEED_OF_LIGHT,
@@ -43,7 +47,7 @@ from oran_isac.radio import (
     apply_scene,
     generate_probe,
 )
-from oran_isac.transport import channel_pair
+from oran_isac.transport import Timeout, channel_pair
 
 BEAMS = BeamTable({0: (0.0, 0.0), 1: (15.0, 0.0)})
 
@@ -269,13 +273,13 @@ class TestRunLoop:
             xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=100.0)
             time.sleep(0.45)
             xapp.set_period(20.0)
-            change_t = time.monotonic()
+            change_t = dapp.clock.now_ns()
             time.sleep(0.5)
         finally:
             xapp.stop()
             dapp.stop()
-        after = [r for r in xapp.reports if r.arrival_monotonic > change_t]
-        inter = np.diff([r.arrival_monotonic for r in after]) * 1e3
+        after = [r for r in xapp.reports if r.t1_ns > change_t]
+        inter = np.diff([r.t1_ns for r in after]) / 1e6
         # Skip the straddling interval; the rest must reflect the new period.
         assert len(inter) >= 10
         assert np.mean(inter[2:]) == pytest.approx(20.0, abs=2.0)
@@ -331,10 +335,28 @@ class TestRunLoop:
         finally:
             xapp.stop()
             dapp.stop()
-        inter = np.diff([r.arrival_monotonic for r in xapp.reports]) * 1e3
+        inter = np.diff([r.t1_ns for r in xapp.reports]) / 1e6
         assert len(inter) >= 20
         assert np.median(inter) < 20.0
         assert not dapp.config.sic_enabled
+
+    def test_refused_commands_are_counted_and_the_loop_keeps_serving(self):
+        dapp, xapp = small_stack(period_ms=10.0)
+        try:
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
+            with pytest.raises(RequestTimeout):
+                xapp.set_beam(200, 0.0, timeout=0.2)
+            # Periods the xApp's policy would stop, sent raw as a peer might.
+            xapp.channel.send(control_frame(1000, CommandKind.SET_PERIOD, period_ms=-1.0))
+            xapp.channel.send(control_frame(1001, CommandKind.SET_PERIOD, period_ms=math.nan))
+            xapp.await_report(len(xapp.reports) + 5, timeout=1.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert dapp.refused_commands == 3
+        assert xapp.late_replies == 0           # no ack for a refused command
+        assert dapp.config.report_period_ms == 10.0
+        assert dapp.config.active_beam == 0
 
     def test_only_a_subscription_or_a_new_period_restarts_the_schedule(self):
         dapp = offline_dapp(EchoScene(), DappConfig(report_period_ms=10.0))
@@ -364,9 +386,34 @@ class TestRunLoop:
         finally:
             xapp.stop()
             dapp.stop()
-        inter = np.diff([r.arrival_monotonic for r in xapp.reports]) * 1e3
+        inter = np.diff([r.t1_ns for r in xapp.reports]) / 1e6
         assert len(inter) >= 19
         assert np.median(inter) < 23.0
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300],
+                         ids=["nan", "inf", "-inf", "zero", "negative", "1e300"])
+def test_out_of_range_period_is_refused_everywhere(period):
+    """Config, subscription, SET_PERIOD and the A1 check share one period rule."""
+    assert not valid_period(period)
+    with pytest.raises(ValueError):
+        DappConfig(report_period_ms=period)
+    request = SubscriptionRequestPayload(SubscriptionMode.PERIODIC, period_ms=period)
+    assert SubscriptionMachine().step(SubEvent.REQUEST_RECEIVED, request=request).violation
+    assert enforce_policy(A1IsacPolicy(), request).verdict == Verdict.REJECT
+    dapp_end, peer = channel_pair()
+    dapp = SensingDapp(DappConfig(report_period_ms=10.0), {0: make_cfg()}, BEAMS,
+                       EchoScene(), dapp_end)
+    assert not dapp._handle_frame(control_frame(1, CommandKind.SET_PERIOD, period_ms=period))
+    assert dapp.refused_commands == 1
+    assert dapp.config.report_period_ms == 10.0
+    with pytest.raises(Timeout):
+        peer.recv(timeout=0.0)
+
+
+def test_period_rule_bounds():
+    assert valid_period(1e-3) and valid_period(MAX_PERIOD_MS)
+    assert not valid_period(MAX_PERIOD_MS * (1 + 1e-9))
 
 
 # -- seeded bit-identity and the per-beam echo cache --------------------------

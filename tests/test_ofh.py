@@ -175,6 +175,23 @@ def test_malformed_waveform_document_is_named(doc, match):
         waveform_from_dict(doc)
 
 
+@pytest.mark.parametrize("entries, match", [
+    ([WAVEFORM_DOC], "waveform table entry 0: missing field 'id'"),
+    ([{**WAVEFORM_DOC, "id": "x"}], "waveform table entry 0 field 'id'"),
+    ([{**WAVEFORM_DOC, "id": None}], "waveform table entry 0 field 'id'"),
+    ([{**WAVEFORM_DOC, "id": 0}, 7], "waveform table entry 1: expected a JSON object"),
+    ([{**WAVEFORM_DOC, "id": 0}, {**WAVEFORM_DOC, "id": 0}],
+     "waveform table entry 1: duplicate id 0"),
+    ({**WAVEFORM_DOC, "id": 0}, "waveform table: expected a JSON list"),
+], ids=["missing-id", "non-integer-id", "null-id", "not-an-object", "duplicate-id",
+        "not-a-list"])
+def test_malformed_waveform_table_entry_is_named(tmp_path, entries, match):
+    path = tmp_path / "waveforms.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(WaveformParseError, match=match):
+        load_waveform_table(path)
+
+
 class TestFronthaulRate:
     def test_massive_mimo_raw(self):
         # 64 antennas, 100 MHz, 16-bit components: the order-of-200-Gbps case.
