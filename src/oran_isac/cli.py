@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .harness import (
@@ -21,6 +21,7 @@ from .harness import (
     run_experiment_b,
     run_sensing_accuracy,
 )
+from .radio import load_scene
 from .transport import EndpointKind
 
 
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON experiment configuration")
         p.add_argument("--out", dest="out_dir", type=Path, default=Path("results"),
                        help="output directory for CSVs and summary.json")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, help="seed of the scene: probe pattern and noise")
         p.add_argument("--duration-s", dest="segment_duration_s", type=float,
                        help="per-segment duration of exp-a, in seconds")
 
@@ -57,19 +58,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sense", help="sensing accuracy experiment")
     common(s)
-    s.add_argument("--scene", dest="scene_path", type=Path,
-                   help="scene JSON with ground truth")
+    s.add_argument("--scene", type=load_scene, help="scene JSON with ground truth")
     s.add_argument("--trials", dest="accuracy_trials", type=int)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults live in ``ExperimentConfig``: a flag overrides only when given."""
+    """Defaults live in ``ExperimentConfig``: a flag overrides only when given.
+
+    ``--seed`` sets the seed of the scene, whichever document it came from.
+    """
     names = {f.name for f in fields(ExperimentConfig)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    if args.config:
-        return load_config(args.config, **given)
-    return ExperimentConfig(**given)
+    cfg = load_config(args.config, **given) if args.config else ExperimentConfig(**given)
+    if args.seed is not None:
+        cfg.scene = replace(cfg.scene, seed=args.seed)
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "exp-b":
         result = run_experiment_b(cfg)
     else:
-        result = run_sensing_accuracy(cfg, scene_path=args.scene_path)
+        result = run_sensing_accuracy(cfg)
     print(json.dumps(result.to_dict(), indent=2))
     return 0
 

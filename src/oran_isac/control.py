@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,6 +25,7 @@ from .e2sm import (
     CommandKind,
     ControlAckPayload,
     ControlRequestPayload,
+    E2DecodeError,
     E2SensMessage,
     MsgType,
     SensingReport,
@@ -66,6 +67,8 @@ class A1IsacPolicy:
     max_period_ms: float = 1000.0
 
     def __post_init__(self) -> None:
+        if not (valid_period(self.min_period_ms) and valid_period(self.max_period_ms)):
+            raise ValueError("period bounds must be positive and at most an hour")
         if self.min_period_ms > self.max_period_ms:
             raise ValueError("min_period_ms must not exceed max_period_ms")
         if not 0.0 <= self.temporal_budget_ms_per_s <= 1000.0:
@@ -220,7 +223,8 @@ class XApp:
 
     A single receive loop stamps t1 on every indication and routes responses
     and acks to their waiting requests by correlation id. Control commands and
-    subscriptions go through policy enforcement before anything is sent.
+    subscriptions go through policy enforcement before anything is sent. An
+    undecodable frame is counted by kind in ``decode_errors`` and dropped.
     """
 
     def __init__(self, channel: Channel, policy: A1IsacPolicy | None = None,
@@ -237,6 +241,7 @@ class XApp:
         # Correlation ids still awaited, each with its reply once it arrives.
         self._pending: dict[int, E2SensMessage | None] = {}
         self.late_replies = 0
+        self.decode_errors: Counter[str] = Counter()
         self._pending_cond = threading.Condition()
         self._report_cond = threading.Condition()
         self._stop = threading.Event()
@@ -253,7 +258,11 @@ class XApp:
             except Disconnected:
                 break
             t1 = self.clock.now_ns()
-            msg = decode_message(frame)
+            try:
+                msg = decode_message(frame)
+            except E2DecodeError as e:
+                self.decode_errors[type(e).__name__] += 1
+                continue
             if msg.msg_type == MsgType.INDICATION:
                 assert isinstance(msg.payload, SensingReport)
                 received = ReceivedReport(msg.payload, t1)
@@ -275,9 +284,11 @@ class XApp:
         self._thread.start()
 
     def stop(self, join_timeout: float = 5.0) -> None:
+        """Stop the receive loop, then close its channel, which it no longer reads."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(join_timeout)
+        self.channel.close()
 
     def _request(self, msg_type: MsgType, payload, timeout: float) -> E2SensMessage:
         """Send one request and wait for the reply to its correlation id.

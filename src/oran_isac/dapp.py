@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -23,6 +24,7 @@ from .e2sm import (
     CommandKind,
     ControlAckPayload,
     ControlRequestPayload,
+    E2DecodeError,
     E2SensMessage,
     MsgType,
     SensingReport,
@@ -233,6 +235,7 @@ class SensingDapp:
     commands are applied as they arrive, always between emissions, and each is
     acknowledged with its receive and apply timestamps; one with an
     out-of-range value is counted in ``refused_commands`` and left unanswered.
+    An undecodable frame is counted by kind in ``decode_errors`` and dropped.
     """
 
     def __init__(self, config: DappConfig,
@@ -253,6 +256,7 @@ class SensingDapp:
         self.prev_report: SensingReport | None = None
         self.dropped_blocks = 0
         self.refused_commands = 0
+        self.decode_errors: Counter[str] = Counter()
         self._probe_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
         # all that _apply_command can change about a burst besides its seed.
@@ -327,7 +331,11 @@ class SensingDapp:
         A period refresh to the current value is applied and acked like any
         other command but keeps the deadline grid.
         """
-        msg = decode_message(frame)
+        try:
+            msg = decode_message(frame)
+        except E2DecodeError as e:
+            self.decode_errors[type(e).__name__] += 1
+            return False
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
             assert isinstance(msg.payload, SubscriptionRequestPayload)
             result = self.machine.handle_request(msg.payload, msg.correlation_id)

@@ -7,8 +7,8 @@ Three experiments, mirroring the prototype methodology at desk scale:
 * Closed-loop latency: at a fixed period, pair every indication with a no-op
   control command and decompose the loop into telemetry and control parts.
   The no-op keeps the dApp's deadline grid, so the probes run at the period.
-* Sensing accuracy: run the estimation pipeline over seeded scenes and score
-  range/velocity errors against simulator ground truth.
+* Sensing accuracy: run the dApp's own sensing pipeline over seeded bursts
+  and score range/velocity errors against simulator ground truth.
 
 All outputs are CSV plus a summary JSON; published prototype numbers are
 attached as clearly labeled annotations, never as pass/fail criteria.
@@ -25,26 +25,11 @@ import numpy as np
 
 from .clock import SharedClock
 from .control import A1IsacPolicy, XApp, policy_from_dict, write_sample_log
-from .dapp import (
-    DappConfig,
-    SensingDapp,
-    delay_doppler_map,
-    estimate_kpis,
-    evaluate_triggers,
-)
+from .dapp import DappConfig, SensingDapp, evaluate_triggers
 from .e2sm import SubscriptionMode, TriggerConfig
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
-# SceneParseError is imported for callers: load_config and run_sensing_accuracy raise it.
-from .radio import (
-    EchoScene,
-    SceneParseError,
-    Target,
-    apply_scene,
-    generate_probe,
-    load_scene,
-    scene_echo,
-    scene_from_dict,
-)
+# SceneParseError is imported for callers: load_config raises it.
+from .radio import EchoScene, SceneParseError, Target, beam_gain, scene_from_dict
 from .stats import (
     ExperimentSummary,
     compliance_table,
@@ -83,14 +68,12 @@ class ExperimentConfig:
     segment_duration_s: float = 10.0
     probe_period_ms: float = 10.0
     num_probes: int = 5000
-    seed: int = 0
     scene: EchoScene = field(default_factory=lambda: EchoScene(
         targets=(Target(range_m=45.0, radial_velocity_mps=10.0, azimuth_deg=0.0),),
         snr_db=20.0,
         residual_si_power_db=-20.0,
     ))
     waveform: WaveformConfig = field(default_factory=default_waveform)
-    beam_table: BeamTable = field(default_factory=default_beam_table)
     policy: A1IsacPolicy = field(default_factory=lambda: A1IsacPolicy(
         min_period_ms=5.0, max_period_ms=1000.0))
     accuracy_trials: int = 200
@@ -103,7 +86,6 @@ _CONFIG_FIELDS = {
     "segment_duration_s": float,
     "probe_period_ms": float,
     "num_probes": int,
-    "seed": int,
     "accuracy_trials": int,
 }
 
@@ -113,17 +95,16 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 
     ``scene``, ``waveform`` and ``policy`` go through their own documents'
     parsers; a key the document leaves out keeps its ``ExperimentConfig``
-    default. ``overrides`` replace fields after the document is read.
+    default. A top-level ``seed`` is the seed of a scene that has none of its
+    own. ``overrides`` replace fields after the document is read.
     """
     doc = json.loads(Path(path).read_text())
     cfg = ExperimentConfig(**{key: parse(doc[key])
                               for key, parse in _CONFIG_FIELDS.items() if key in doc})
     if "scene" in doc:
-        scene = doc["scene"]
-        if isinstance(scene, dict):
-            # A scene without a seed of its own takes the experiment's.
-            scene = {"seed": cfg.seed, **scene}
-        cfg.scene = scene_from_dict(scene)
+        cfg.scene = scene_from_dict(doc["scene"])
+    if "seed" in doc and "seed" not in doc.get("scene", {}):
+        cfg.scene = replace(cfg.scene, seed=int(doc["seed"]))
     if "waveform" in doc:
         cfg.waveform = waveform_from_dict(doc["waveform"])
     if "policy" in doc:
@@ -149,7 +130,7 @@ def _build_stack(cfg: ExperimentConfig, clock: SharedClock) -> _Stack:
     dapp = SensingDapp(
         config=DappConfig(report_period_ms=cfg.schedule_ms[0]),
         waveform_table={0: cfg.waveform},
-        beam_table=cfg.beam_table,
+        beam_table=default_beam_table(),
         scene=cfg.scene,
         channel=dapp_end,
         clock=clock,
@@ -306,46 +287,45 @@ class AccuracyReport:
         }
 
 
-def run_sensing_accuracy(cfg: ExperimentConfig,
-                         scene_path: str | Path | None = None,
-                         trigger: TriggerConfig | None = None) -> AccuracyReport:
-    """Score the estimation pipeline against simulator ground truth."""
-    scene = cfg.scene if scene_path is None else load_scene(scene_path)
+def run_sensing_accuracy(cfg: ExperimentConfig) -> AccuracyReport:
+    """Score the dApp's sensing pipeline against simulator ground truth.
 
+    Trial k's report is the k-th burst of one offline dApp on the boresight
+    beam, with a waveform of at least 64 symbols: the scene seed plus k
+    draws its noise.
+    """
+    scene = cfg.scene
+    beams = default_beam_table()
+    beam = 4  # boresight
     wf = replace(cfg.waveform, num_symbols=max(cfg.waveform.num_symbols, 64))
-    grid, time_probe = generate_probe(wf, seed=cfg.seed)
-    beam = 4 if 4 in cfg.beam_table else next(iter(cfg.beam_table.entries))
-    trig = trigger or TriggerConfig(echo_energy_threshold_db=-40.0)
-    # Trials differ only by seed, so they share one noise-free echo.
-    echo = scene_echo(time_probe, wf, scene, beam, cfg.beam_table)
+    dapp_end, _ = channel_pair()
+    dapp = SensingDapp(DappConfig(active_beam=beam), {0: wf}, beams, scene, dapp_end)
+    trig = TriggerConfig(echo_energy_threshold_db=-40.0)
+    # Trials differ only by seed, so they share one strongest target.
+    truth = None
+    if scene.targets:
+        beam_az, _ = beams.direction(beam)
+        gains = [t.amplitude * beam_gain(t.azimuth_deg, beam_az) for t in scene.targets]
+        truth = scene.targets[int(np.argmax(gains))]
 
     range_errors: list[float] = []
     vel_errors: list[float] = []
     hits = misses = 0
     rows: list[str] = []
     for trial in range(cfg.accuracy_trials):
-        trial_scene = replace(scene, seed=scene.seed + trial)
-        block, truth = apply_scene(time_probe, wf, trial_scene, beam, cfg.beam_table,
-                                   echo=echo)
-        power_map = delay_doppler_map(block, wf, grid)
-        report = estimate_kpis(power_map, wf, cfg.beam_table, beam,
-                               sequence_number=trial + 1)
+        report = dapp.sense_once()
         fired = evaluate_triggers(report, None, trig)
-        if trial_scene.targets:
-            strongest = int(np.argmax([
-                t.amplitude * g for t, g in zip(trial_scene.targets, truth.beam_gains)
-            ]))
-            true_range = trial_scene.targets[strongest].range_m
-            true_vel = trial_scene.targets[strongest].radial_velocity_mps
-            range_errors.append(report.range_m - true_range)
-            vel_errors.append(report.radial_velocity_mps - true_vel)
+        if truth is not None:
+            range_errors.append(report.range_m - truth.range_m)
+            vel_errors.append(report.radial_velocity_mps - truth.radial_velocity_mps)
             if fired:
                 hits += 1
             else:
                 misses += 1
             rows.append(
-                f"{trial},{true_range:.6f},{report.range_m:.6f},"
-                f"{true_vel:.6f},{report.radial_velocity_mps:.6f},{int(bool(fired))}"
+                f"{trial},{truth.range_m:.6f},{report.range_m:.6f},"
+                f"{truth.radial_velocity_mps:.6f},{report.radial_velocity_mps:.6f},"
+                f"{int(bool(fired))}"
             )
         else:
             # Noise-only scene: any firing is a false alarm.

@@ -38,7 +38,7 @@ from oran_isac.e2sm import (
 )
 from oran_isac.ofh import BeamTable, WaveformConfig
 from oran_isac.radio import EchoScene, Target
-from oran_isac.transport import channel_pair
+from oran_isac.transport import Disconnected, EndpointKind, channel_pair
 
 BEAMS = BeamTable({0: (0.0, 0.0), 1: (15.0, 0.0)})
 POLICY = A1IsacPolicy(min_period_ms=5.0, max_period_ms=100.0)
@@ -132,8 +132,15 @@ def test_malformed_policy_field_is_named(doc, field):
         policy_from_dict(doc)
 
 
-@pytest.mark.parametrize("doc", [[1], {"min_period_ms": 10.0, "max_period_ms": 5.0}],
-                         ids=["not-an-object", "inverted-bounds"])
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"min_period_ms": 10.0, "max_period_ms": 5.0},
+    {"min_period_ms": "nan", "max_period_ms": "nan"},
+    {"max_period_ms": "inf"},
+    {"min_period_ms": 0.0},
+    {"min_period_ms": -5.0},
+], ids=["not-an-object", "inverted-bounds", "nan-bounds", "inf-bound", "zero-bound",
+        "negative-bound"])
 def test_invalid_policy_document_raises_typed_error(doc):
     with pytest.raises(PolicyParseError, match="A1 policy"):
         policy_from_dict(doc)
@@ -248,6 +255,24 @@ class TestXApp:
             assert time.monotonic() - start < 1.0
         finally:
             xapp.stop()
+
+    def test_stop_closes_the_channel(self):
+        xapp = XApp(channel_pair()[1])
+        xapp.start()
+        xapp.stop()
+        with pytest.raises(Disconnected):
+            xapp.channel.recv(timeout=0)
+
+    def test_stop_closes_the_tcp_socket(self):
+        dapp_end, xapp_end = channel_pair(EndpointKind.TCP)
+        xapp = XApp(xapp_end)
+        xapp.start()
+        xapp.stop()
+        try:
+            with pytest.raises(Disconnected, match="peer closed"):
+                dapp_end.recv(timeout=1.0)
+        finally:
+            dapp_end.close()
 
     def test_late_reply_is_counted_not_kept(self):
         xapp_end, peer = channel_pair()

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import struct
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +35,7 @@ from oran_isac.e2sm import (
     SubscriptionMachine,
     SubscriptionMode,
     SubscriptionRequestPayload,
+    SubState,
     TriggerConfig,
     encode_message,
     valid_period,
@@ -357,6 +360,31 @@ class TestRunLoop:
         assert xapp.late_replies == 0           # no ack for a refused command
         assert dapp.config.report_period_ms == 10.0
         assert dapp.config.active_beam == 0
+
+    def test_undecodable_frames_are_counted_and_both_loops_keep_serving(self):
+        def frame(version, msg_type, payload=b""):
+            return struct.pack(">BBII", version, msg_type, 7, len(payload)) + payload
+
+        truncated = frame(1, MsgType.INDICATION)[:3]
+        unknown_type = frame(1, 99)
+        dapp, xapp = small_stack(period_ms=10.0)
+        try:
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
+            # 10 bytes, version 9, to the xApp; 11 bytes of CONTROL_REQUEST to the dApp.
+            for bad in (frame(9, MsgType.INDICATION), truncated, unknown_type):
+                dapp.channel.send(bad)
+            for bad in (frame(1, MsgType.CONTROL_REQUEST, b"\x00"), truncated, unknown_type):
+                xapp.channel.send(bad)
+            xapp.set_sic(False, timeout=1.0)
+            xapp.await_report(len(xapp.reports) + 5, timeout=1.0)
+            assert dapp._thread.is_alive() and xapp._thread.is_alive()
+            assert dapp.machine.state == SubState.ACTIVE
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert xapp.decode_errors == Counter(UnknownVersion=1, Truncated=1, UnknownType=1)
+        assert dapp.decode_errors == Counter(LengthMismatch=1, Truncated=1, UnknownType=1)
+        assert not dapp.config.sic_enabled
 
     def test_only_a_subscription_or_a_new_period_restarts_the_schedule(self):
         dapp = offline_dapp(EchoScene(), DappConfig(report_period_ms=10.0))

@@ -1,6 +1,8 @@
 """Experiment harness smoke tests at reduced scale."""
 
+import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,10 @@ from oran_isac.radio import load_scene
 from oran_isac.transport import EndpointKind, channel_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 over accuracy.csv then summary.json of 200 sensing trials of
+# configs/scene.json. A change to it means the `sense` outputs changed.
+SENSE_DIGEST = "8ac21e0c999d0fb50fae14a4288995acb45e383422c94c197969b8879df4cfa9"
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -63,17 +69,19 @@ class TestLoadConfig:
                 "snr_db": 15.0,
             },
             "policy": {"min_period_ms": 2.0, "max_period_ms": 500.0},
+            "seed": 7,
         }
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
-        cfg = load_config(path, seed=7)
+        cfg = load_config(path, accuracy_trials=9)
         assert cfg.schedule_ms == (40.0, 10.0)
         assert cfg.num_probes == 123
         assert cfg.transport == EndpointKind.TCP
         assert cfg.scene.targets[0].range_m == 30.0
         assert cfg.scene.snr_db == 15.0
         assert cfg.policy.min_period_ms == 2.0
-        assert cfg.seed == 7
+        assert cfg.scene.seed == 7
+        assert cfg.accuracy_trials == 9
 
     def test_missing_snr_means_noiseless(self, tmp_path):
         import math
@@ -101,6 +109,8 @@ class TestLoadConfig:
         assert load_config(path).scene.seed == 4
         path.write_text(json.dumps({"seed": 4, "scene": {"targets": [], "seed": 9}}))
         assert load_config(path).scene.seed == 9
+        path.write_text(json.dumps({"seed": 4}))
+        assert load_config(path).scene == replace(ExperimentConfig().scene, seed=4)
 
     def test_policy_geographic_scope_is_enforced(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -135,7 +145,6 @@ class TestConfigFiles:
         assert cfg.probe_period_ms == doc["probe_period_ms"]
         assert cfg.num_probes == doc["num_probes"]
         assert cfg.accuracy_trials == doc["accuracy_trials"]
-        assert cfg.seed == doc["seed"]
         assert cfg.transport == EndpointKind(doc["transport"])
         (target,) = doc["scene"]["targets"]
         assert cfg.scene.targets[0].range_m == target["range_m"]
@@ -208,7 +217,8 @@ class TestSensingAccuracy:
         assert lines[0].startswith("trial,true_range_m,est_range_m")
         assert len(lines) == 7
 
-    def test_scene_file_override(self, tmp_path):
+    def test_scene_file_override(self, tmp_path, capsys):
+        from oran_isac.cli import main
         scene = {
             "targets": [{"range_m": 60.0, "radial_velocity_mps": 0.0,
                          "azimuth_deg": 0.0, "amplitude": 1.0}],
@@ -216,19 +226,33 @@ class TestSensingAccuracy:
         }
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(scene))
-        report = run_sensing_accuracy(small_config(accuracy_trials=4),
-                                      scene_path=path)
-        assert report.range_rmse_m < 1.5
+        assert main(["sense", "--trials", "4", "--scene", str(path),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert json.loads(capsys.readouterr().out)["range_rmse_m"] < 1.5
+        true_ranges = {line.split(",")[1] for line in
+                       (tmp_path / "s" / "accuracy.csv").read_text().splitlines()[1:]}
+        assert true_ranges == {"60.000000"}
 
     def test_bad_scene_file(self, tmp_path):
+        from oran_isac.cli import main
         path = tmp_path / "scene.json"
         path.write_text("{not json")
         with pytest.raises(SceneParseError):
-            run_sensing_accuracy(small_config(), scene_path=path)
+            main(["sense", "--scene", str(path), "--out", str(tmp_path / "s")])
+
+    def test_outputs_digest(self, tmp_path):
+        cfg = ExperimentConfig(scene=load_scene(CONFIGS / "scene.json"),
+                               accuracy_trials=200, out_dir=tmp_path)
+        run_sensing_accuracy(cfg)
+        h = hashlib.sha256()
+        for name in ("accuracy.csv", "summary.json"):
+            h.update((tmp_path / name).read_bytes())
+        assert h.hexdigest() == SENSE_DIGEST
 
     def test_reproducible_given_seed(self):
-        cfg1 = small_config(accuracy_trials=4, seed=3)
-        cfg2 = small_config(accuracy_trials=4, seed=3)
+        scene = replace(ExperimentConfig().scene, seed=3)
+        cfg1 = small_config(accuracy_trials=4, scene=scene)
+        cfg2 = small_config(accuracy_trials=4, scene=scene)
         r1 = run_sensing_accuracy(cfg1)
         r2 = run_sensing_accuracy(cfg2)
         assert r1.range_errors_m == r2.range_errors_m
@@ -287,3 +311,17 @@ class TestCli:
         assert main(["sense", "--config", str(path), "--trials", "2",
                      "--out", str(tmp_path / "s")]) == 0
         assert json.loads(capsys.readouterr().out)["trials"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["exp-a"], ["exp-b"], ["sense"],
+        ["exp-a", "--config", "experiment.json"],
+        ["exp-b", "--config", "experiment.json"],
+        ["sense", "--config", "experiment.json"],
+        ["sense", "--scene", "scene.json"],
+    ], ids=["exp-a", "exp-b", "sense", "exp-a-config", "exp-b-config", "sense-config",
+            "sense-scene"])
+    def test_seed_sets_the_scene_seed(self, argv, monkeypatch):
+        from oran_isac.cli import _build_parser, _config_from_args
+        monkeypatch.chdir(CONFIGS)
+        cfg = _config_from_args(_build_parser().parse_args([*argv, "--seed", "7"]))
+        assert cfg.scene.seed == 7
