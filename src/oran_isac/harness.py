@@ -44,6 +44,10 @@ class SetupFailure(Exception):
     pass
 
 
+class ConfigParseError(Exception):
+    """An experiment configuration document is not JSON, not an object, or has a malformed field."""
+
+
 def default_waveform(num_symbols: int = 16) -> WaveformConfig:
     """100 MHz sensing waveform; sample rate equals bandwidth."""
     return WaveformConfig(
@@ -80,9 +84,16 @@ class ExperimentConfig:
     out_dir: Path | None = None
 
 
+def _schedule_field(periods) -> tuple[float, ...]:
+    # A string is iterable too: "50" would read as the periods (5.0, 0.0).
+    if not isinstance(periods, list):
+        raise TypeError(f"expected a list of periods in ms, got {type(periods).__name__}")
+    return tuple(float(x) for x in periods)
+
+
 _CONFIG_FIELDS = {
     "transport": EndpointKind,
-    "schedule_ms": lambda schedule: tuple(float(x) for x in schedule),
+    "schedule_ms": _schedule_field,
     "segment_duration_s": float,
     "probe_period_ms": float,
     "num_probes": int,
@@ -96,15 +107,30 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     ``scene``, ``waveform`` and ``policy`` go through their own documents'
     parsers; a key the document leaves out keeps its ``ExperimentConfig``
     default. A top-level ``seed`` is the seed of a scene that has none of its
-    own. ``overrides`` replace fields after the document is read.
+    own. ``overrides`` replace fields after the document is read. A document
+    that is not a JSON object, or a malformed top-level field, raises
+    ``ConfigParseError`` naming the document and the field.
     """
-    doc = json.loads(Path(path).read_text())
-    cfg = ExperimentConfig(**{key: parse(doc[key])
-                              for key, parse in _CONFIG_FIELDS.items() if key in doc})
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigParseError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    parsed = {}
+    # "seed" is a document field, not an ExperimentConfig one: it goes to the scene.
+    for key, parse in {**_CONFIG_FIELDS, "seed": int}.items():
+        if key in doc:
+            try:
+                parsed[key] = parse(doc[key])
+            except (TypeError, ValueError) as e:
+                raise ConfigParseError(f"{path} field {key!r}: {e}") from e
+    seed = parsed.pop("seed", None)
+    cfg = ExperimentConfig(**parsed)
     if "scene" in doc:
         cfg.scene = scene_from_dict(doc["scene"])
-    if "seed" in doc and "seed" not in doc.get("scene", {}):
-        cfg.scene = replace(cfg.scene, seed=int(doc["seed"]))
+    if seed is not None and "seed" not in doc.get("scene", {}):
+        cfg.scene = replace(cfg.scene, seed=seed)
     if "waveform" in doc:
         cfg.waveform = waveform_from_dict(doc["waveform"])
     if "policy" in doc:

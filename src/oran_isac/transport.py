@@ -146,14 +146,16 @@ class TcpChannel(Channel):
 
     def _read_exact(self, n: int, deadline: float | None) -> bytes:
         while len(self._recv_buf) < n:
+            if self._sock.fileno() == -1:
+                raise Disconnected("channel closed")
+            remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise Timeout("no frame within deadline")
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
             try:
+                # Inside the try: a close from another thread fails settimeout too.
+                self._sock.settimeout(remaining)
                 chunk = self._sock.recv(65536)
             except socket.timeout:
                 raise Timeout("no frame within deadline") from None

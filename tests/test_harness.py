@@ -9,6 +9,7 @@ import pytest
 
 from oran_isac.control import PolicyViolation, XApp, load_policy
 from oran_isac.harness import (
+    ConfigParseError,
     ExperimentConfig,
     SceneParseError,
     SetupFailure,
@@ -111,6 +112,23 @@ class TestLoadConfig:
         assert load_config(path).scene.seed == 9
         path.write_text(json.dumps({"seed": 4}))
         assert load_config(path).scene == replace(ExperimentConfig().scene, seed=4)
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"num_probes": "x"}', "field 'num_probes'"),
+        ('{"seed": "x"}', "field 'seed'"),
+        ('{"transport": "udp"}', "field 'transport'"),
+        ('{"schedule_ms": 5}', "field 'schedule_ms'"),
+        ('{"schedule_ms": "50"}', "field 'schedule_ms'"),
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('{"num_probes": 3', "not valid JSON"),
+    ], ids=["num-probes", "seed", "transport", "schedule", "schedule-string", "not-object",
+         "bad-json"])
+    def test_malformed_document_raises_typed_error(self, tmp_path, text, match):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        with pytest.raises(ConfigParseError, match=match) as err:
+            load_config(path)
+        assert str(path) in str(err.value)
 
     def test_policy_geographic_scope_is_enforced(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -109,6 +109,16 @@ def test_tcp_disconnect_detected_quickly():
     a.close()
 
 
+@pytest.mark.parametrize("timeout", [None, 0, 0.05])
+def test_recv_on_closed_end_raises_disconnected(pair, timeout):
+    a, _ = pair
+    a.close()
+    start = time.monotonic()
+    with pytest.raises(Disconnected):
+        a.recv(timeout=timeout)
+    assert time.monotonic() - start < 1.0
+
+
 def test_inproc_close_unblocks_receiver():
     a, b = channel_pair(EndpointKind.IN_PROCESS)
     result = {}
