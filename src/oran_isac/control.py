@@ -5,9 +5,8 @@ arrival time t1, and issues control commands whose acknowledgements carry the
 dApp-side apply time — together these give the telemetry, control, and
 closed-loop latency samples. The policy layer is a static A1 document (loaded
 from JSON by the rApp stand-in) enforced at the xApp before any request
-reaches the wire: periods are clamped into bounds, beams outside the
-geographic scope are rejected, and a sliding one-second window accounts for
-the sensing time budget.
+reaches the wire: periods are clamped into bounds, and beams outside the
+geographic scope are rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,7 +61,6 @@ class A1IsacPolicy:
 
     policy_id: str = "default"
     geographic_scope: tuple[tuple[float, float], ...] = ((-180.0, 180.0),)
-    temporal_budget_ms_per_s: float = 1000.0
     min_period_ms: float = 1.0
     max_period_ms: float = 1000.0
 
@@ -71,8 +69,6 @@ class A1IsacPolicy:
             raise ValueError("period bounds must be positive and at most an hour")
         if self.min_period_ms > self.max_period_ms:
             raise ValueError("min_period_ms must not exceed max_period_ms")
-        if not 0.0 <= self.temporal_budget_ms_per_s <= 1000.0:
-            raise ValueError("temporal budget must be within one second per second")
 
     def azimuth_in_scope(self, azimuth_deg: float) -> bool:
         return any(lo <= azimuth_deg <= hi for lo, hi in self.geographic_scope)
@@ -81,7 +77,6 @@ class A1IsacPolicy:
 _POLICY_FIELDS = {
     "policy_id": str,
     "geographic_scope": lambda scope: tuple((float(lo), float(hi)) for lo, hi in scope),
-    "temporal_budget_ms_per_s": float,
     "min_period_ms": float,
     "max_period_ms": float,
 }
@@ -129,37 +124,9 @@ class PolicyDecision:
     period_ms: float | None = None    # effective period after clamping
 
 
-class BudgetAccount:
-    """Sliding one-second window of sensing time spent, in milliseconds."""
-
-    def __init__(self, budget_ms_per_s: float, clock: SharedClock) -> None:
-        self.budget_ms_per_s = budget_ms_per_s
-        self._clock = clock
-        self._spent: deque[tuple[int, float]] = deque()
-
-    def _prune(self, now_ns: int) -> None:
-        cutoff = now_ns - 1_000_000_000
-        while self._spent and self._spent[0][0] < cutoff:
-            self._spent.popleft()
-
-    def spent_ms(self) -> float:
-        self._prune(self._clock.now_ns())
-        return sum(ms for _, ms in self._spent)
-
-    def exhausted(self) -> bool:
-        return self.spent_ms() >= self.budget_ms_per_s
-
-    def charge(self, ms: float) -> None:
-        self._spent.append((self._clock.now_ns(), ms))
-
-
 def enforce_policy(policy: A1IsacPolicy,
-                   proposed: ControlRequestPayload | SubscriptionRequestPayload,
-                   budget: BudgetAccount | None = None) -> PolicyDecision:
+                   proposed: ControlRequestPayload | SubscriptionRequestPayload) -> PolicyDecision:
     """Total, pure check of one request: always exactly one verdict."""
-    if budget is not None and budget.exhausted():
-        return PolicyDecision(Verdict.REJECT, "BUDGET_EXHAUSTED")
-
     if isinstance(proposed, SubscriptionRequestPayload):
         if proposed.mode == SubscriptionMode.EVENT:
             if proposed.trigger.empty:
@@ -232,7 +199,6 @@ class XApp:
         self.channel = channel
         self.policy = policy or A1IsacPolicy()
         self.clock = clock or default_clock()
-        self.budget = BudgetAccount(self.policy.temporal_budget_ms_per_s, self.clock)
         self.reports: list[ReceivedReport] = []
         self.samples: list[LatencySample] = []
         self.subscription_id: int | None = None
@@ -317,7 +283,7 @@ class XApp:
 
     def _enforce(self, request: ControlRequestPayload | SubscriptionRequestPayload) -> None:
         """Raise ``PolicyViolation`` unless the policy accepts the request as it is."""
-        decision = enforce_policy(self.policy, request, self.budget)
+        decision = enforce_policy(self.policy, request)
         if decision.verdict == Verdict.REJECT:
             raise PolicyViolation(decision.reason)
         if decision.verdict == Verdict.CLAMP:

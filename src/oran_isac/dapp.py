@@ -276,7 +276,6 @@ class SensingDapp:
         # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
         # all that _apply_command can change about a burst besides its seed.
         self._echo_cache: dict[tuple[int, int, bool], SceneEcho] = {}
-        self._burst_counter = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -299,8 +298,7 @@ class SensingDapp:
         """Run one full acquire-process cycle and return the report."""
         cfg, grid, time_probe = self._probe(self.config.waveform_id)
         scene = replace(self._effective_scene(),
-                        seed=self.scene.seed + self._burst_counter)
-        self._burst_counter += 1
+                        seed=self.scene.seed + self.sequence_number)
         key = (self.config.waveform_id, self.config.active_beam, self.config.sic_enabled)
         echo = self._echo_cache.get(key)
         if echo is None:

@@ -29,7 +29,7 @@ from .dapp import DappConfig, SensingDapp, evaluate_triggers
 from .e2sm import SubscriptionMode, TriggerConfig
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
 # SceneParseError is imported for callers: load_config raises it.
-from .radio import EchoScene, SceneParseError, Target, beam_gain, scene_from_dict
+from .radio import EchoScene, SceneParseError, Target, beam_gain, json_int, scene_from_dict
 from .stats import (
     ExperimentSummary,
     compliance_table,
@@ -96,8 +96,8 @@ _CONFIG_FIELDS = {
     "schedule_ms": _schedule_field,
     "segment_duration_s": float,
     "probe_period_ms": float,
-    "num_probes": int,
-    "accuracy_trials": int,
+    "num_probes": json_int,
+    "accuracy_trials": json_int,
 }
 
 
@@ -119,7 +119,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     parsed = {}
     # "seed" is a document field, not an ExperimentConfig one: it goes to the scene.
-    for key, parse in {**_CONFIG_FIELDS, "seed": int}.items():
+    for key, parse in {**_CONFIG_FIELDS, "seed": json_int}.items():
         if key in doc:
             try:
                 parsed[key] = parse(doc[key])

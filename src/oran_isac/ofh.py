@@ -207,11 +207,6 @@ class IqBlock:
 
     metadata: SensingMetadata
     samples: np.ndarray           # complex128, length = num_symbols * (fft_size + cp)
-    rx_timestamp: int = 0         # ns since epoch at DU receipt
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rx_timestamp < 2**64:
-            raise ValueError("rx_timestamp out of u64 range")
 
 
 @dataclass

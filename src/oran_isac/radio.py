@@ -47,6 +47,13 @@ class SceneParseError(Exception):
     """A scene document is not valid JSON or has a malformed field."""
 
 
+def json_int(value) -> int:
+    """A count or seed from a JSON document: a JSON integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Target:
     range_m: float                # >= 0
@@ -203,7 +210,7 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
         beam_index=beam,
         sensing_flag=True,
     )
-    block = IqBlock(metadata=meta, samples=rx, rx_timestamp=tx_timestamp)
+    block = IqBlock(metadata=meta, samples=rx)
     return block, echo.truth
 
 
@@ -215,6 +222,10 @@ def scene_from_dict(doc: dict) -> EchoScene:
     """
     if not isinstance(doc, dict):
         raise SceneParseError(f"scene: expected a JSON object, got {type(doc).__name__}")
+    try:
+        seed = json_int(doc.get("seed", 0))
+    except TypeError as e:
+        raise SceneParseError(f"scene field 'seed': {e}") from e
     try:
         targets = tuple(
             Target(
@@ -231,7 +242,7 @@ def scene_from_dict(doc: dict) -> EchoScene:
             targets=targets,
             snr_db=math.inf if snr is None else float(snr),
             residual_si_power_db=-math.inf if si is None else float(si),
-            seed=int(doc.get("seed", 0)),
+            seed=seed,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SceneParseError(str(e)) from e

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oran_isac.clock import SharedClock
-from oran_isac.control import A1IsacPolicy, BudgetAccount, Verdict, XApp, enforce_policy
+from oran_isac.control import A1IsacPolicy, Verdict, XApp, enforce_policy
 from oran_isac.dapp import DappConfig, SensingDapp, delay_doppler_map, estimate_kpis
 from oran_isac.e2sm import (
     CommandKind,
@@ -381,28 +381,21 @@ periods = st.floats(0.1, 100.0)
 @given(
     min_p=periods,
     span=st.floats(0.0, 900.0),
-    budget=st.floats(1.0, 1000.0),
     mode=st.sampled_from(SubscriptionMode),
     period=st.floats(-100.0, 2000.0),
-    charge_frac=st.floats(0.0, 1.0),
 )
 @settings(max_examples=500, deadline=None)
-def test_policy_enforcement(min_p, span, budget, mode, period, charge_frac):
-    """Exactly one verdict; clamps inside bounds; exhausted budget rejects."""
-    policy = A1IsacPolicy(min_period_ms=min_p, max_period_ms=min_p + span,
-                          temporal_budget_ms_per_s=budget)
-    account = BudgetAccount(budget, SharedClock())
-    account.charge(budget * charge_frac)
+def test_policy_enforcement(min_p, span, mode, period):
+    """Exactly one verdict; clamps inside bounds."""
+    policy = A1IsacPolicy(min_period_ms=min_p, max_period_ms=min_p + span)
     request = SubscriptionRequestPayload(
         mode, period_ms=period,
         trigger=TriggerConfig(echo_energy_threshold_db=-10.0))
-    decision = enforce_policy(policy, request, account)
+    decision = enforce_policy(policy, request)
 
     assert decision.verdict in (Verdict.ACCEPT, Verdict.CLAMP, Verdict.REJECT)
     if decision.verdict == Verdict.CLAMP:
         assert policy.min_period_ms <= decision.period_ms <= policy.max_period_ms
-    if charge_frac >= 1.0:
-        assert decision.verdict == Verdict.REJECT
 
 
 def test_statistics_oracles():

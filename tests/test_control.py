@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from oran_isac.clock import SharedClock
 from oran_isac.control import (
+    _POLICY_FIELDS,
     A1IsacPolicy,
-    BudgetAccount,
     PolicyParseError,
     PolicyViolation,
     RequestTimeout,
@@ -60,15 +60,6 @@ class TestPolicy:
         assert check_beam(policy, 90.0).verdict == Verdict.REJECT
         assert check_beam(policy, 0.0).verdict == Verdict.ACCEPT
 
-    def test_exhausted_budget_rejects(self):
-        clock = SharedClock()
-        budget = BudgetAccount(10.0, clock)
-        budget.charge(10.0)
-        cmd = ControlRequestPayload(CommandKind.SET_PERIOD, 0, period_ms=10.0)
-        decision = enforce_policy(POLICY, cmd, budget)
-        assert decision.verdict == Verdict.REJECT
-        assert decision.reason == "BUDGET_EXHAUSTED"
-
     def test_empty_event_trigger_rejected(self):
         req = SubscriptionRequestPayload(SubscriptionMode.EVENT)
         assert enforce_policy(POLICY, req).verdict == Verdict.REJECT
@@ -76,8 +67,6 @@ class TestPolicy:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             A1IsacPolicy(min_period_ms=10.0, max_period_ms=5.0)
-        with pytest.raises(ValueError):
-            A1IsacPolicy(temporal_budget_ms_per_s=1500.0)
 
     @given(
         min_p=st.floats(0.1, 50.0),
@@ -95,21 +84,11 @@ class TestPolicy:
         if decision.verdict == Verdict.ACCEPT and period > 0:
             assert policy.min_period_ms <= period <= policy.max_period_ms
 
-    def test_budget_window_slides(self):
-        clock = SharedClock()
-        budget = BudgetAccount(100.0, clock)
-        budget.charge(100.0)
-        assert budget.exhausted()
-        # Entries older than one second no longer count once pruned.
-        budget._spent[0] = (budget._spent[0][0] - 2_000_000_000, 100.0)
-        assert not budget.exhausted()
-
 
 def test_load_policy(tmp_path):
     doc = {
         "policy_id": "sector-a",
         "geographic_scope": [[-45, 45]],
-        "temporal_budget_ms_per_s": 200.0,
         "min_period_ms": 5.0,
         "max_period_ms": 100.0,
     }
@@ -126,7 +105,8 @@ def test_load_policy(tmp_path):
     ({"max_period_ms": None}, "max_period_ms"),
     ({"geographic_scope": [[-45]]}, "geographic_scope"),
     ({"energy_limit": 0.5}, "energy_limit"),
-], ids=["not-a-number", "null", "short-scope", "unknown-key"])
+    ({"temporal_budget_ms_per_s": 500.0}, "temporal_budget_ms_per_s"),
+], ids=["not-a-number", "null", "short-scope", "unknown-key", "deleted-budget-key"])
 def test_malformed_policy_field_is_named(doc, field):
     with pytest.raises(PolicyParseError, match=f"A1 policy field '{field}'"):
         policy_from_dict(doc)
@@ -157,6 +137,36 @@ def stack(policy=POLICY, period_ms=20.0):
     dapp.start()
     xapp.start()
     return dapp, xapp
+
+
+# One A1 constraint per row: an altered value, and an xApp request that the
+# default policy lets through and the altered one refuses. "policy_id" names the
+# policy and constrains nothing, so it has no row.
+CONSTRAINT_ROWS = {
+    "geographic_scope": (((-10.0, 10.0),), lambda xapp: xapp.set_beam(1, 15.0)),
+    "min_period_ms": (20.0, lambda xapp: xapp.subscribe(SubscriptionMode.PERIODIC,
+                                                        period_ms=10.0)),
+    "max_period_ms": (50.0, lambda xapp: xapp.set_period(100.0)),
+}
+
+
+@pytest.mark.parametrize("field", CONSTRAINT_ROWS)
+def test_every_policy_field_is_enforced(field):
+    assert CONSTRAINT_ROWS.keys() == _POLICY_FIELDS.keys() - {"policy_id"}
+    value, request = CONSTRAINT_ROWS[field]
+    dapp, xapp = stack(policy=A1IsacPolicy())
+    try:
+        request(xapp)
+    finally:
+        xapp.stop()
+        dapp.stop()
+    dapp, xapp = stack(policy=A1IsacPolicy(**{field: value}))
+    try:
+        with pytest.raises(PolicyViolation):
+            request(xapp)
+    finally:
+        xapp.stop()
+        dapp.stop()
 
 
 class TestXApp:

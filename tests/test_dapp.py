@@ -336,6 +336,31 @@ class TestRunLoop:
         # then stays quiet with no further crossings.
         assert len(xapp.reports) == 1
 
+    def test_set_trigger_replaces_the_event_condition(self):
+        dapp, xapp = small_stack(period_ms=10.0)
+        try:
+            # The echo reads about -2 dB on beam 0 and -32 dB on beam 1 (15 degrees).
+            xapp.subscribe(SubscriptionMode.EVENT,
+                           trigger=TriggerConfig(echo_energy_threshold_db=-15.0))
+            xapp.await_report(0, timeout=2.0)
+            # The step to beam 1 crosses the old energy threshold, but the new
+            # AoA trigger is wider than the step: nothing may fire.
+            xapp.set_trigger(TriggerConfig(aoa_shift_threshold_deg=20.0))
+            xapp.set_beam(1, 15.0)
+            time.sleep(0.3)
+            quiet = len(xapp.reports)
+            # A narrower AoA trigger fires on the step back.
+            xapp.set_trigger(TriggerConfig(aoa_shift_threshold_deg=10.0))
+            xapp.set_beam(0, 0.0)
+            back = xapp.await_report(quiet, timeout=2.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert quiet == 1
+        assert back.report.aoa_azimuth_deg == 0.0
+        assert len(xapp.reports) == 2
+        assert dapp.trigger == TriggerConfig(aoa_shift_threshold_deg=10.0)
+
     def test_sic_toggle_raises_si(self):
         scene = EchoScene(targets=(Target(20.0, 0.0, 0.0),),
                           residual_si_power_db=-20.0)

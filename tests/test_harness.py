@@ -121,8 +121,12 @@ class TestLoadConfig:
         ('{"schedule_ms": "50"}', "field 'schedule_ms'"),
         ('[1, 2]', "expected a JSON object, got list"),
         ('{"num_probes": 3', "not valid JSON"),
+        ('{"num_probes": 1.5}', "field 'num_probes'"),
+        ('{"accuracy_trials": true}', "field 'accuracy_trials'"),
+        ('{"seed": 2.7}', "field 'seed'"),
+        ('{"num_probes": "5"}', "field 'num_probes'"),
     ], ids=["num-probes", "seed", "transport", "schedule", "schedule-string", "not-object",
-         "bad-json"])
+         "bad-json", "float-count", "bool-count", "float-seed", "string-count"])
     def test_malformed_document_raises_typed_error(self, tmp_path, text, match):
         path = tmp_path / "exp.json"
         path.write_text(text)

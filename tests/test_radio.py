@@ -16,6 +16,7 @@ from oran_isac.radio import (
     SceneParseError,
     generate_probe,
     load_scene,
+    scene_from_dict,
 )
 
 
@@ -212,9 +213,17 @@ def test_load_scene_defaults(tmp_path):
     '{"targets": [{"speed": 3}]}',
     '{"targets": [{"range_m": -1.0}]}',
     '{"snr_db": "loud"}',
+    '{"seed": 3.9}',
+    '{"seed": true}',
+    '{"seed": "3"}',
 ])
 def test_load_scene_malformed(tmp_path, text):
     path = tmp_path / "scene.json"
     path.write_text(text)
     with pytest.raises(SceneParseError):
         load_scene(path)
+
+
+def test_scene_seed_error_names_the_field():
+    with pytest.raises(SceneParseError, match="scene field 'seed': expected a JSON integer"):
+        scene_from_dict({"seed": 3.9})
