@@ -22,11 +22,20 @@ from .harness import (
     run_sensing_accuracy,
 )
 from .radio import load_scene
+from .schema import json_int
 from .transport import EndpointKind
 
 
 def _schedule(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
+
+
+def _count(text: str) -> int:
+    """A seed or count flag, held to the config documents' rule: an integer >= 0."""
+    try:
+        return json_int(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON experiment configuration")
         p.add_argument("--out", dest="out_dir", type=Path, default=Path("results"),
                        help="output directory for CSVs and summary.json")
-        p.add_argument("--seed", type=int, help="seed of the scene: probe pattern and noise")
+        p.add_argument("--seed", type=_count, help="seed of the scene: probe pattern and noise")
         p.add_argument("--duration-s", dest="segment_duration_s", type=float,
                        help="per-segment duration of exp-a, in seconds")
 
@@ -53,13 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("exp-b", help="closed-loop latency experiment")
     common(b)
-    b.add_argument("--probes", dest="num_probes", type=int)
+    b.add_argument("--probes", dest="num_probes", type=_count)
     b.add_argument("--period-ms", dest="probe_period_ms", type=float)
 
     s = sub.add_parser("sense", help="sensing accuracy experiment")
     common(s)
     s.add_argument("--scene", type=load_scene, help="scene JSON with ground truth")
-    s.add_argument("--trials", dest="accuracy_trials", type=int)
+    s.add_argument("--trials", dest="accuracy_trials", type=_count)
     return parser
 
 

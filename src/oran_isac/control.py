@@ -5,14 +5,13 @@ arrival time t1, and issues control commands whose acknowledgements carry the
 dApp-side apply time — together these give the telemetry, control, and
 closed-loop latency samples. The policy layer is a static A1 document (loaded
 from JSON by the rApp stand-in) enforced at the xApp before any request
-reaches the wire: periods are clamped into bounds, and beams outside the
-geographic scope are rejected.
+reaches the wire: a period outside the bounds and a beam outside the
+geographic scope are refused.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from .e2sm import (
     encode_message,
     valid_period,
 )
+from .schema import json_float, json_list, json_str, load_json, read_document
 from .transport import Channel, Disconnected, Timeout
 
 
@@ -52,7 +52,7 @@ class RequestTimeout(ControlError):
 
 
 class PolicyParseError(Exception):
-    """An A1 policy document has a malformed field."""
+    """An A1 policy document is not JSON, not an object, or has a malformed field."""
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,16 @@ class A1IsacPolicy:
         return any(lo <= azimuth_deg <= hi for lo, hi in self.geographic_scope)
 
 
+def _sector(value) -> tuple[float, float]:
+    lo, hi = json_list(json_float)(value)     # a ValueError unless a [lo, hi] pair
+    return lo, hi
+
+
 _POLICY_FIELDS = {
-    "policy_id": str,
-    "geographic_scope": lambda scope: tuple((float(lo), float(hi)) for lo, hi in scope),
-    "min_period_ms": float,
-    "max_period_ms": float,
+    "policy_id": json_str,
+    "geographic_scope": json_list(_sector),
+    "min_period_ms": json_float,
+    "max_period_ms": json_float,
 }
 
 
@@ -88,27 +93,12 @@ def policy_from_dict(doc: dict) -> A1IsacPolicy:
     A missing key takes the ``A1IsacPolicy`` default; a malformed or unknown
     one raises ``PolicyParseError`` naming it.
     """
-    if not isinstance(doc, dict):
-        raise PolicyParseError(f"A1 policy: expected a JSON object, got {type(doc).__name__}")
-    unknown = sorted(doc.keys() - _POLICY_FIELDS.keys())
-    if unknown:
-        raise PolicyParseError(f"A1 policy field {unknown[0]!r}: not in the A1 policy schema")
-    values = {}
-    for key, parse in _POLICY_FIELDS.items():
-        if key in doc:
-            try:
-                values[key] = parse(doc[key])
-            except (TypeError, ValueError) as e:
-                raise PolicyParseError(f"A1 policy field {key!r}: {e}") from e
-    try:
-        return A1IsacPolicy(**values)
-    except ValueError as e:
-        raise PolicyParseError(f"A1 policy: {e}") from e
+    return read_document(doc, A1IsacPolicy, _POLICY_FIELDS, PolicyParseError, "A1 policy")
 
 
 def load_policy(path: str | Path) -> A1IsacPolicy:
     """Load an A1 sensing policy from its JSON document."""
-    return policy_from_dict(json.loads(Path(path).read_text()))
+    return policy_from_dict(load_json(path, PolicyParseError))
 
 
 class Verdict(Enum):

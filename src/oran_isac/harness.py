@@ -29,7 +29,8 @@ from .dapp import DappConfig, SensingDapp, evaluate_triggers
 from .e2sm import SubscriptionMode, TriggerConfig
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
 # SceneParseError is imported for callers: load_config raises it.
-from .radio import EchoScene, SceneParseError, Target, beam_gain, json_int, scene_from_dict
+from .radio import EchoScene, SceneParseError, Target, beam_gain, scene_from_dict
+from .schema import json_float, json_int, json_list, json_str, load_json, read_document
 from .stats import (
     ExperimentSummary,
     compliance_table,
@@ -84,20 +85,18 @@ class ExperimentConfig:
     out_dir: Path | None = None
 
 
-def _schedule_field(periods) -> tuple[float, ...]:
-    # A string is iterable too: "50" would read as the periods (5.0, 0.0).
-    if not isinstance(periods, list):
-        raise TypeError(f"expected a list of periods in ms, got {type(periods).__name__}")
-    return tuple(float(x) for x in periods)
-
-
 _CONFIG_FIELDS = {
-    "transport": EndpointKind,
-    "schedule_ms": _schedule_field,
-    "segment_duration_s": float,
-    "probe_period_ms": float,
+    "transport": lambda value: EndpointKind(json_str(value)),
+    "schedule_ms": json_list(json_float),
+    "segment_duration_s": json_float,
+    "probe_period_ms": json_float,
     "num_probes": json_int,
     "accuracy_trials": json_int,
+    "scene": scene_from_dict,
+    "waveform": waveform_from_dict,
+    "policy": policy_from_dict,
+    # A document field, not an ExperimentConfig one: it goes to the scene.
+    "seed": json_int,
 }
 
 
@@ -108,34 +107,19 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     parsers; a key the document leaves out keeps its ``ExperimentConfig``
     default. A top-level ``seed`` is the seed of a scene that has none of its
     own. ``overrides`` replace fields after the document is read. A document
-    that is not a JSON object, or a malformed top-level field, raises
-    ``ConfigParseError`` naming the document and the field.
+    that is not a JSON object, or a malformed or unknown top-level field,
+    raises ``ConfigParseError`` naming the document and the field.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigParseError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    parsed = {}
-    # "seed" is a document field, not an ExperimentConfig one: it goes to the scene.
-    for key, parse in {**_CONFIG_FIELDS, "seed": json_int}.items():
-        if key in doc:
-            try:
-                parsed[key] = parse(doc[key])
-            except (TypeError, ValueError) as e:
-                raise ConfigParseError(f"{path} field {key!r}: {e}") from e
-    seed = parsed.pop("seed", None)
-    cfg = ExperimentConfig(**parsed)
-    if "scene" in doc:
-        cfg.scene = scene_from_dict(doc["scene"])
-    if seed is not None and "seed" not in doc.get("scene", {}):
-        cfg.scene = replace(cfg.scene, seed=seed)
-    if "waveform" in doc:
-        cfg.waveform = waveform_from_dict(doc["waveform"])
-    if "policy" in doc:
-        cfg.policy = policy_from_dict(doc["policy"])
-    return replace(cfg, **overrides)
+    doc = load_json(path, ConfigParseError)
+
+    def build(seed=None, **values) -> ExperimentConfig:
+        cfg = ExperimentConfig(**values)
+        if seed is not None and "seed" not in doc.get("scene", {}):
+            cfg.scene = replace(cfg.scene, seed=seed)
+        return cfg
+
+    return replace(read_document(doc, build, _CONFIG_FIELDS, ConfigParseError, str(path)),
+                   **overrides)
 
 
 @dataclass

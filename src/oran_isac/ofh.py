@@ -15,12 +15,13 @@ Wire layout, big-endian, 12 bytes total (89 payload bits + 7 zero padding):
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 
 import numpy as np
+
+from .schema import json_float, json_int, json_str, read_document
 
 METADATA_SIZE = 12
 
@@ -140,13 +141,13 @@ def lookup_waveform(table: dict[int, WaveformConfig], waveform_id: int) -> Wavef
 
 
 _WAVEFORM_FIELDS = {
-    "fft_size": int,
-    "cp_length": int,
-    "subcarrier_spacing": float,
-    "pilot_pattern": str,
-    "carrier_frequency": float,
-    "bandwidth": float,
-    "num_symbols": int,
+    "fft_size": json_int,
+    "cp_length": json_int,
+    "subcarrier_spacing": json_float,
+    "pilot_pattern": json_str,
+    "carrier_frequency": json_float,
+    "bandwidth": json_float,
+    "num_symbols": json_int,
 }
 
 
@@ -155,50 +156,11 @@ def waveform_from_dict(doc: dict) -> WaveformConfig:
 
     Keys: fft_size, cp_length, subcarrier_spacing, carrier_frequency,
     bandwidth, num_symbols and, optionally, pilot_pattern ("qpsk-prs"). A
-    missing or malformed field raises ``WaveformParseError`` naming it.
+    missing, malformed or unknown field raises ``WaveformParseError`` naming it.
     """
-    if not isinstance(doc, dict):
-        raise WaveformParseError(f"waveform: expected a JSON object, got {type(doc).__name__}")
-    doc = {"pilot_pattern": "qpsk-prs", **doc}
-    values = {}
-    for key, parse in _WAVEFORM_FIELDS.items():
-        try:
-            values[key] = parse(doc[key])
-        except KeyError:
-            raise WaveformParseError(f"waveform: missing field {key!r}") from None
-        except (TypeError, ValueError) as e:
-            raise WaveformParseError(f"waveform field {key!r}: {e}") from e
-    try:
-        return WaveformConfig(**values)
-    except ValueError as e:
-        raise WaveformParseError(f"waveform: {e}") from e
-
-
-def load_waveform_table(path: str | Path) -> dict[int, WaveformConfig]:
-    """Load the startup waveform table from a JSON document.
-
-    Format: list of ``waveform_from_dict`` objects, each with its own integer
-    ``id``. A malformed entry raises ``WaveformParseError`` naming its index.
-    """
-    entries = json.loads(Path(path).read_text())
-    if not isinstance(entries, list):
-        raise WaveformParseError(
-            f"waveform table: expected a JSON list, got {type(entries).__name__}")
-    table: dict[int, WaveformConfig] = {}
-    for i, e in enumerate(entries):
-        where = f"waveform table entry {i}"
-        if not isinstance(e, dict):
-            raise WaveformParseError(f"{where}: expected a JSON object, got {type(e).__name__}")
-        if "id" not in e:
-            raise WaveformParseError(f"{where}: missing field 'id'")
-        try:
-            wid = int(e["id"])
-        except (TypeError, ValueError) as err:
-            raise WaveformParseError(f"{where} field 'id': {err}") from err
-        if wid in table:
-            raise WaveformParseError(f"{where}: duplicate id {wid}")
-        table[wid] = waveform_from_dict(e)
-    return table
+    return read_document(doc, partial(WaveformConfig, pilot_pattern="qpsk-prs"),
+                         _WAVEFORM_FIELDS, WaveformParseError, "waveform",
+                         required=[key for key in _WAVEFORM_FIELDS if key != "pilot_pattern"])
 
 
 @dataclass(frozen=True)

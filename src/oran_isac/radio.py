@@ -19,14 +19,15 @@ Conventions fixed here and relied on by the estimator:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig
+from .schema import json_float, json_int, json_list, load_json, read_document
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -47,19 +48,12 @@ class SceneParseError(Exception):
     """A scene document is not valid JSON or has a malformed field."""
 
 
-def json_int(value) -> int:
-    """A count or seed from a JSON document: a JSON integer, not a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Target:
-    range_m: float                # >= 0
-    radial_velocity_mps: float    # positive = receding
-    azimuth_deg: float
-    amplitude: float = 1.0        # linear power gain
+    range_m: float                      # >= 0
+    radial_velocity_mps: float = 0.0    # positive = receding
+    azimuth_deg: float = 0.0
+    amplitude: float = 1.0              # linear power gain
 
     def __post_init__(self) -> None:
         if self.range_m < 0:
@@ -214,44 +208,29 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     return block, echo.truth
 
 
+_TARGET_FIELDS = dict.fromkeys(
+    ("range_m", "radial_velocity_mps", "azimuth_deg", "amplitude"), json_float)
+
+
+_SCENE_FIELDS = {
+    "targets": json_list(partial(read_document, build=Target, fields=_TARGET_FIELDS,
+                                 error=SceneParseError, where="scene target",
+                                 required=("range_m",))),
+    "snr_db": json_float,
+    "residual_si_power_db": json_float,
+    "seed": json_int,
+}
+
+
 def scene_from_dict(doc: dict) -> EchoScene:
     """Build a scene from its parsed JSON document.
 
     A missing ``snr_db`` means no noise, a missing ``residual_si_power_db``
-    means no self-interference. Any malformed field raises ``SceneParseError``.
+    means no self-interference. A malformed or unknown field raises ``SceneParseError``.
     """
-    if not isinstance(doc, dict):
-        raise SceneParseError(f"scene: expected a JSON object, got {type(doc).__name__}")
-    try:
-        seed = json_int(doc.get("seed", 0))
-    except TypeError as e:
-        raise SceneParseError(f"scene field 'seed': {e}") from e
-    try:
-        targets = tuple(
-            Target(
-                range_m=float(t["range_m"]),
-                radial_velocity_mps=float(t.get("radial_velocity_mps", 0.0)),
-                azimuth_deg=float(t.get("azimuth_deg", 0.0)),
-                amplitude=float(t.get("amplitude", 1.0)),
-            )
-            for t in doc.get("targets", [])
-        )
-        snr = doc.get("snr_db")
-        si = doc.get("residual_si_power_db")
-        return EchoScene(
-            targets=targets,
-            snr_db=math.inf if snr is None else float(snr),
-            residual_si_power_db=-math.inf if si is None else float(si),
-            seed=seed,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise SceneParseError(str(e)) from e
+    return read_document(doc, EchoScene, _SCENE_FIELDS, SceneParseError, "scene")
 
 
 def load_scene(path: str | Path) -> EchoScene:
     """Read a scene description from a JSON document."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise SceneParseError(str(e)) from e
-    return scene_from_dict(doc)
+    return scene_from_dict(load_json(path, SceneParseError))

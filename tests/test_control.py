@@ -100,13 +100,23 @@ def test_load_policy(tmp_path):
     assert not policy.azimuth_in_scope(60.0)
 
 
+def test_load_policy_not_json_raises_typed_error(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text("{not json")
+    with pytest.raises(PolicyParseError, match="not valid JSON"):
+        load_policy(path)
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"min_period_ms": "x"}, "min_period_ms"),
     ({"max_period_ms": None}, "max_period_ms"),
     ({"geographic_scope": [[-45]]}, "geographic_scope"),
     ({"energy_limit": 0.5}, "energy_limit"),
     ({"temporal_budget_ms_per_s": 500.0}, "temporal_budget_ms_per_s"),
-], ids=["not-a-number", "null", "short-scope", "unknown-key", "deleted-budget-key"])
+    ({"policy_id": [1]}, "policy_id"),
+    ({"min_period_ms": "5"}, "min_period_ms"),
+], ids=["not-a-number", "null", "short-scope", "unknown-key", "deleted-budget-key",
+        "list-id", "string-number"])
 def test_malformed_policy_field_is_named(doc, field):
     with pytest.raises(PolicyParseError, match=f"A1 policy field '{field}'"):
         policy_from_dict(doc)

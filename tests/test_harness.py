@@ -20,7 +20,6 @@ from oran_isac.harness import (
     run_experiment_b,
     run_sensing_accuracy,
 )
-from oran_isac.ofh import load_waveform_table
 from oran_isac.radio import load_scene
 from oran_isac.transport import EndpointKind, channel_pair
 
@@ -125,8 +124,13 @@ class TestLoadConfig:
         ('{"accuracy_trials": true}', "field 'accuracy_trials'"),
         ('{"seed": 2.7}', "field 'seed'"),
         ('{"num_probes": "5"}', "field 'num_probes'"),
+        ('{"num_probe": 5}', "field 'num_probe'"),
+        ('{"sede": 3}', "field 'sede'"),
+        ('{"out_dir": "results"}', "field 'out_dir'"),
+        ('{"seed": -1}', "field 'seed'"),
     ], ids=["num-probes", "seed", "transport", "schedule", "schedule-string", "not-object",
-         "bad-json", "float-count", "bool-count", "float-seed", "string-count"])
+         "bad-json", "float-count", "bool-count", "float-seed", "string-count",
+         "misspelled-count", "misspelled-seed", "out-dir", "negative-seed"])
     def test_malformed_document_raises_typed_error(self, tmp_path, text, match):
         path = tmp_path / "exp.json"
         path.write_text(text)
@@ -151,7 +155,6 @@ class TestConfigFiles:
         "experiment.json": load_config,
         "policy.json": load_policy,
         "scene.json": load_scene,
-        "waveforms.json": load_waveform_table,
     }
 
     def test_every_file_has_a_loader_and_loads(self):
@@ -347,3 +350,16 @@ class TestCli:
         monkeypatch.chdir(CONFIGS)
         cfg = _config_from_args(_build_parser().parse_args([*argv, "--seed", "7"]))
         assert cfg.scene.seed == 7
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["exp-b", "--seed", "-1", "--probes", "3"], "--seed"),
+        (["sense", "--seed", "-1"], "--seed"),
+        (["exp-b", "--probes", "-3"], "--probes"),
+        (["sense", "--trials", "-3"], "--trials"),
+    ], ids=["exp-b-seed", "sense-seed", "probes", "trials"])
+    def test_bad_count_flag_exits_naming_it(self, argv, flag, capsys):
+        from oran_isac.cli import _build_parser
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err

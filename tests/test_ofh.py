@@ -18,7 +18,6 @@ from oran_isac.ofh import (
     encode_metadata,
     format_metadata_vector,
     fronthaul_rate,
-    load_waveform_table,
     lookup_waveform,
     parse_metadata_vector,
     waveform_from_dict,
@@ -145,19 +144,6 @@ class TestLookup:
             lookup_waveform({}, 0)
 
 
-def test_load_waveform_table(tmp_path):
-    doc = [{
-        "id": 3, "fft_size": 256, "cp_length": 64,
-        "subcarrier_spacing": 390625.0, "pilot_pattern": "qpsk-prs",
-        "carrier_frequency": 3.5e9, "bandwidth": 1e8, "num_symbols": 16,
-    }]
-    path = tmp_path / "waveforms.json"
-    path.write_text(json.dumps(doc))
-    table = load_waveform_table(path)
-    assert table[3].fft_size == 256
-    assert table[3].bandwidth == 1e8
-
-
 WAVEFORM_DOC = {"fft_size": 256, "cp_length": 64, "subcarrier_spacing": 390625.0,
                 "carrier_frequency": 3.5e9, "bandwidth": 1e8, "num_symbols": 16}
 
@@ -169,27 +155,14 @@ WAVEFORM_DOC = {"fft_size": 256, "cp_length": 64, "subcarrier_spacing": 390625.0
      "waveform: missing field 'cp_length'"),
     ({**WAVEFORM_DOC, "fft_size": 100}, "waveform: fft_size must be a power of two"),
     ([1], "waveform: expected a JSON object"),
-], ids=["not-a-number", "null", "missing", "invalid", "not-an-object"])
+    ({**WAVEFORM_DOC, "fft_sise": 256}, "waveform field 'fft_sise'"),
+    ({**WAVEFORM_DOC, "fft_size": 256.7}, "waveform field 'fft_size'"),
+    ({**WAVEFORM_DOC, "fft_size": "64"}, "waveform field 'fft_size'"),
+], ids=["not-a-number", "null", "missing", "invalid", "not-an-object", "stray-key",
+        "float-count", "string-count"])
 def test_malformed_waveform_document_is_named(doc, match):
     with pytest.raises(WaveformParseError, match=match):
         waveform_from_dict(doc)
-
-
-@pytest.mark.parametrize("entries, match", [
-    ([WAVEFORM_DOC], "waveform table entry 0: missing field 'id'"),
-    ([{**WAVEFORM_DOC, "id": "x"}], "waveform table entry 0 field 'id'"),
-    ([{**WAVEFORM_DOC, "id": None}], "waveform table entry 0 field 'id'"),
-    ([{**WAVEFORM_DOC, "id": 0}, 7], "waveform table entry 1: expected a JSON object"),
-    ([{**WAVEFORM_DOC, "id": 0}, {**WAVEFORM_DOC, "id": 0}],
-     "waveform table entry 1: duplicate id 0"),
-    ({**WAVEFORM_DOC, "id": 0}, "waveform table: expected a JSON list"),
-], ids=["missing-id", "non-integer-id", "null-id", "not-an-object", "duplicate-id",
-        "not-a-list"])
-def test_malformed_waveform_table_entry_is_named(tmp_path, entries, match):
-    path = tmp_path / "waveforms.json"
-    path.write_text(json.dumps(entries))
-    with pytest.raises(WaveformParseError, match=match):
-        load_waveform_table(path)
 
 
 class TestFronthaulRate:

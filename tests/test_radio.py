@@ -216,6 +216,10 @@ def test_load_scene_defaults(tmp_path):
     '{"seed": 3.9}',
     '{"seed": true}',
     '{"seed": "3"}',
+    '{"targets": [{"range_m": 10.0, "velocty_mps": 3.0}]}',
+    '{"targets": [{"range_m": NaN}]}',
+    '{"targets": [{"range_m": 10.0, "amplitude": "1"}]}',
+    '{"seed": -1}',
 ])
 def test_load_scene_malformed(tmp_path, text):
     path = tmp_path / "scene.json"
