@@ -5,31 +5,4 @@ pipeline, an E2 sensing service model with pub-sub subscriptions, near-RT/A1
 control, and the latency experiment harness.
 """
 
-from .clock import SharedClock, default_clock
-from .control import A1IsacPolicy, LatencySample, Verdict, XApp, enforce_policy
-from .dapp import DappConfig, SensingDapp, delay_doppler_map, estimate_kpis, evaluate_triggers
-from .e2sm import (
-    E2SensMessage,
-    MsgType,
-    SensingReport,
-    SubscriptionMachine,
-    SubscriptionMode,
-    TriggerConfig,
-    decode_message,
-    encode_message,
-)
-from .ofh import (
-    BeamTable,
-    IqBlock,
-    SensingMetadata,
-    WaveformConfig,
-    decode_metadata,
-    encode_metadata,
-    fronthaul_rate,
-    lookup_waveform,
-)
-from .radio import EchoScene, GroundTruth, Target, apply_scene, generate_probe
-from .stats import compliance_fraction, ecdf, jitter_p95, percentile
-from .transport import Channel, EndpointKind, channel_pair
-
 __version__ = "0.1.0"

@@ -15,27 +15,34 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .harness import (
+    CONFIG_FIELDS,
     ExperimentConfig,
     load_config,
     run_experiment_a,
     run_experiment_b,
     run_sensing_accuracy,
 )
-from .radio import load_scene
-from .schema import json_int
+from .radio import SceneParseError, load_scene
 from .transport import EndpointKind
 
 
-def _schedule(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _flag(parse, read=float):
+    """A flag's type: ``read`` turns its text into the value ``parse`` takes.
+
+    ``parse`` is the document parser of what the flag sets, so a flag obeys
+    the documents' rules; a value either refuses is a usage error that names
+    the flag (exit code 2).
+    """
+    def arg_type(text: str):
+        try:
+            return parse(read(text))
+        except (OSError, SceneParseError, TypeError, ValueError) as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return arg_type
 
 
-def _count(text: str) -> int:
-    """A seed or count flag, held to the config documents' rule: an integer >= 0."""
-    try:
-        return json_int(int(text))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,24 +58,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON experiment configuration")
         p.add_argument("--out", dest="out_dir", type=Path, default=Path("results"),
                        help="output directory for CSVs and summary.json")
-        p.add_argument("--seed", type=_count, help="seed of the scene: probe pattern and noise")
-        p.add_argument("--duration-s", dest="segment_duration_s", type=float,
+        p.add_argument("--seed", type=_flag(CONFIG_FIELDS["seed"], int),
+                       help="seed of the scene: probe pattern and noise")
+        p.add_argument("--duration-s", dest="segment_duration_s",
+                       type=_flag(CONFIG_FIELDS["segment_duration_s"]),
                        help="per-segment duration of exp-a, in seconds")
 
     a = sub.add_parser("exp-a", help="periodicity control experiment")
     common(a)
-    a.add_argument("--schedule", dest="schedule_ms", type=_schedule,
+    a.add_argument("--schedule", dest="schedule_ms",
+                   type=_flag(CONFIG_FIELDS["schedule_ms"], _floats),
                    help="comma-separated reporting periods in ms")
 
     b = sub.add_parser("exp-b", help="closed-loop latency experiment")
     common(b)
-    b.add_argument("--probes", dest="num_probes", type=_count)
-    b.add_argument("--period-ms", dest="probe_period_ms", type=float)
+    b.add_argument("--probes", dest="num_probes", type=_flag(CONFIG_FIELDS["num_probes"], int))
+    b.add_argument("--period-ms", dest="probe_period_ms",
+                   type=_flag(CONFIG_FIELDS["probe_period_ms"]))
 
     s = sub.add_parser("sense", help="sensing accuracy experiment")
     common(s)
-    s.add_argument("--scene", type=load_scene, help="scene JSON with ground truth")
-    s.add_argument("--trials", dest="accuracy_trials", type=_count)
+    s.add_argument("--scene", type=_flag(load_scene, Path), help="scene JSON with ground truth")
+    s.add_argument("--trials", dest="accuracy_trials",
+                   type=_flag(CONFIG_FIELDS["accuracy_trials"], int))
     return parser
 
 

@@ -11,6 +11,7 @@ emissions, and stamps every report just before serialization.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from collections import Counter
@@ -45,6 +46,8 @@ from .transport import Channel, Disconnected, Timeout, send_telemetry
 ECHO_ENERGY = "ECHO_ENERGY"
 AOA_SHIFT = "AOA_SHIFT"
 
+_log = logging.getLogger(__name__)
+
 # Bins excluded around the main peak when hunting for the runner-up.
 _CONFIDENCE_GUARD = 2
 
@@ -57,12 +60,8 @@ class DappError(Exception):
     pass
 
 
-class LengthMismatch(DappError):
+class BlockLengthMismatch(DappError):
     """IQ block length does not match the waveform configuration."""
-
-
-class EmptyMap(DappError):
-    pass
 
 
 def delay_doppler_map(block: IqBlock, cfg: WaveformConfig,
@@ -73,11 +72,11 @@ def delay_doppler_map(block: IqBlock, cfg: WaveformConfig,
     1/(num_symbols * symbol_duration). Values are squared magnitudes scaled so
     a unit-amplitude single path peaks at its power gain.
     """
-    n, cp, m = cfg.fft_size, cfg.cp_length, cfg.num_symbols
-    if len(block.samples) != m * (n + cp):
-        raise LengthMismatch(
-            f"block has {len(block.samples)} samples, waveform needs {m * (n + cp)}"
+    if len(block.samples) != cfg.samples_per_burst:
+        raise BlockLengthMismatch(
+            f"block has {len(block.samples)} samples, waveform needs {cfg.samples_per_burst}"
         )
+    n, cp, m = cfg.fft_size, cfg.cp_length, cfg.num_symbols
     symbols = block.samples.reshape(m, n + cp)[:, cp:]
     rx_grid = np.fft.fft(symbols, axis=1) / math.sqrt(n)
     quotient = rx_grid / probe_grid
@@ -137,7 +136,7 @@ def multipath_spread(power_delay_profile: np.ndarray, bin_width_s: float) -> flo
     floor = _median(pdp)
     gate = floor * 10.0 ** (_MULTIPATH_GATE_DB / 10.0)
     sel = pdp >= max(gate, pdp.max() * 1e-12)
-    if sel.sum() <= 1:
+    if sel.sum() <= 1 or not pdp.any():     # an all-zero profile has no spread
         return 0.0
     delays = np.nonzero(sel)[0] * bin_width_s
     weights = pdp[sel]
@@ -150,8 +149,6 @@ def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
                   waveform_id: int = 0,
                   sequence_number: int = 0) -> SensingReport:
     """Extract the telemetry record from one delay-Doppler map; the run loop stamps ``t0``."""
-    if power_map.size == 0:
-        raise EmptyMap("delay-Doppler map is empty")
     n_delay, n_dopp = power_map.shape
     flat = int(np.argmax(power_map))
     d_idx, p_idx = divmod(flat, n_dopp)
@@ -251,6 +248,8 @@ class SensingDapp:
     acknowledged with its receive and apply timestamps; one with an
     out-of-range value is counted in ``refused_commands`` and left unanswered.
     An undecodable frame is counted by kind in ``decode_errors`` and dropped.
+    A burst that raises, say on a scene no burst can carry, is counted by kind
+    in ``burst_errors`` and closes the subscription; the thread keeps serving.
     """
 
     def __init__(self, config: DappConfig,
@@ -272,6 +271,7 @@ class SensingDapp:
         self.dropped_blocks = 0
         self.refused_commands = 0
         self.decode_errors: Counter[str] = Counter()
+        self.burst_errors: Counter[str] = Counter()
         self._probe_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
         # all that _apply_command can change about a burst besides its seed.
@@ -380,7 +380,13 @@ class SensingDapp:
 
     def _emit(self) -> None:
         sub = self.machine.subscription
-        report = self.sense_once()
+        try:
+            report = self.sense_once()
+        except Exception as e:
+            self.burst_errors[type(e).__name__] += 1
+            _log.exception("burst %d failed; subscription closed", self.sequence_number + 1)
+            self.machine.step(SubEvent.CLOSE)
+            return
         if sub.mode == SubscriptionMode.EVENT:
             if not evaluate_triggers(report, self.prev_report, self.trigger):
                 self.prev_report = report

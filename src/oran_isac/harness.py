@@ -26,11 +26,13 @@ import numpy as np
 from .clock import SharedClock
 from .control import A1IsacPolicy, XApp, policy_from_dict, write_sample_log
 from .dapp import DappConfig, SensingDapp, evaluate_triggers
-from .e2sm import SubscriptionMode, TriggerConfig
+from .e2sm import MAX_PERIOD_MS, SubscriptionMode, TriggerConfig, valid_period
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
 # SceneParseError is imported for callers: load_config raises it.
 from .radio import EchoScene, SceneParseError, Target, beam_gain, scene_from_dict
-from .schema import json_float, json_int, json_list, json_str, load_json, read_document
+from .schema import (
+    checked, json_float, json_int, json_list, json_str, load_json, read_document,
+)
 from .stats import (
     ExperimentSummary,
     compliance_table,
@@ -85,12 +87,15 @@ class ExperimentConfig:
     out_dir: Path | None = None
 
 
-_CONFIG_FIELDS = {
+_PERIOD = checked(json_float, valid_period, f"a report period in (0, {MAX_PERIOD_MS:.0f}] ms")
+
+# Each field's parser; the CLI flags that set these fields parse by them too.
+CONFIG_FIELDS = {
     "transport": lambda value: EndpointKind(json_str(value)),
-    "schedule_ms": json_list(json_float),
-    "segment_duration_s": json_float,
-    "probe_period_ms": json_float,
-    "num_probes": json_int,
+    "schedule_ms": checked(json_list(_PERIOD), bool, "at least one period"),
+    "segment_duration_s": checked(json_float, lambda s: s > 0.0, "a duration > 0"),
+    "probe_period_ms": _PERIOD,
+    "num_probes": checked(json_int, lambda n: n >= 1, "a JSON integer >= 1"),
     "accuracy_trials": json_int,
     "scene": scene_from_dict,
     "waveform": waveform_from_dict,
@@ -118,7 +123,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             cfg.scene = replace(cfg.scene, seed=seed)
         return cfg
 
-    return replace(read_document(doc, build, _CONFIG_FIELDS, ConfigParseError, str(path)),
+    return replace(read_document(doc, build, CONFIG_FIELDS, ConfigParseError, str(path)),
                    **overrides)
 
 
@@ -132,13 +137,13 @@ class _Stack:
         self.dapp.stop()
 
 
-def _build_stack(cfg: ExperimentConfig, clock: SharedClock) -> _Stack:
+def _build_stack(cfg: ExperimentConfig, clock: SharedClock, period_ms: float) -> _Stack:
     try:
         dapp_end, xapp_end = channel_pair(cfg.transport)
     except OSError as e:
         raise SetupFailure(f"transport setup failed: {e}") from e
     dapp = SensingDapp(
-        config=DappConfig(report_period_ms=cfg.schedule_ms[0]),
+        config=DappConfig(report_period_ms=period_ms),
         waveform_table={0: cfg.waveform},
         beam_table=default_beam_table(),
         scene=cfg.scene,
@@ -156,7 +161,7 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
     if not cfg.schedule_ms:
         raise SetupFailure("empty period schedule")
     clock = SharedClock()
-    stack = _build_stack(cfg, clock)
+    stack = _build_stack(cfg, clock, cfg.schedule_ms[0])
     boundaries: list[tuple[int, float]] = []  # (clock ns, target period)
     try:
         stack.xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=cfg.schedule_ms[0])
@@ -232,7 +237,7 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
     ``num_probes`` probes take about ``num_probes * probe_period_ms``.
     """
     clock = SharedClock()
-    stack = _build_stack(cfg, clock)
+    stack = _build_stack(cfg, clock, cfg.probe_period_ms)
     try:
         stack.xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=cfg.probe_period_ms)
         for _ in range(cfg.num_probes):

@@ -202,25 +202,3 @@ def fronthaul_rate(antennas_or_beams: int, bandwidth_hz: float, bits_per_compone
     if antennas_or_beams <= 0 or bandwidth_hz <= 0 or bits_per_component <= 0:
         raise ValueError("all arguments must be positive")
     return bandwidth_hz * 2.0 * bits_per_component * antennas_or_beams
-
-
-def format_metadata_vector(m: SensingMetadata) -> str:
-    """One golden-vector line: 24 hex chars plus expected field values."""
-    return (
-        f"{encode_metadata(m).hex()} ts={m.tx_timestamp} wf={m.waveform_id} "
-        f"beam={m.beam_index} flag={int(m.sensing_flag)}"
-    )
-
-
-def parse_metadata_vector(line: str) -> tuple[bytes, SensingMetadata]:
-    """Parse one golden-vector line back into (frame bytes, expected fields)."""
-    parts = line.split()
-    frame = bytes.fromhex(parts[0])
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    expected = SensingMetadata(
-        tx_timestamp=int(fields["ts"]),
-        waveform_id=int(fields["wf"]),
-        beam_index=int(fields["beam"]),
-        sensing_flag=bool(int(fields["flag"])),
-    )
-    return frame, expected

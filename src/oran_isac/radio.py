@@ -89,7 +89,6 @@ class EchoScene:
 class GroundTruth:
     delays_s: tuple[float, ...]
     dopplers_hz: tuple[float, ...]
-    beam_gains: tuple[float, ...]     # linear power gains actually applied
 
 
 def beam_gain(target_azimuth_deg: float, beam_azimuth_deg: float) -> float:
@@ -145,7 +144,7 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     fs = cfg.sample_rate
     beam_az, _ = beam_table.direction(beam)
 
-    delays, dopplers, gains = [], [], []
+    delays, dopplers = [], []
     rx = np.zeros_like(probe)
     n = np.arange(len(probe))
     echo_powers = []
@@ -157,14 +156,12 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
                 f"{cfg.burst_duration:.3e} s"
             )
         doppler = t.doppler_hz(cfg.carrier_frequency)
-        gain = beam_gain(t.azimuth_deg, beam_az)
-        power = t.amplitude * gain
+        power = t.amplitude * beam_gain(t.azimuth_deg, beam_az)
         echo = _fractional_delay(probe, delay * fs)
         echo = echo * np.exp(2j * np.pi * doppler * n / fs)
         rx = rx + math.sqrt(power) * echo
         delays.append(delay)
         dopplers.append(doppler)
-        gains.append(gain)
         echo_powers.append(power)
 
     ref_power = max(echo_powers) if echo_powers else 1.0
@@ -175,7 +172,7 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
 
     # Shared by every burst built on it: nobody may write to it.
     rx.flags.writeable = False
-    return SceneEcho(rx, ref_power, GroundTruth(tuple(delays), tuple(dopplers), tuple(gains)))
+    return SceneEcho(rx, ref_power, GroundTruth(tuple(delays), tuple(dopplers)))
 
 
 def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,

@@ -72,3 +72,13 @@ def json_str(value) -> str:
 def json_list(parse):
     """Parser of a JSON list whose items ``parse`` reads, returning a tuple."""
     return lambda value: tuple(parse(item) for item in _expect(value, list, "list"))
+
+
+def checked(parse, ok, rule: str):
+    """Parser that runs ``parse`` and refuses a value failing ``ok``; ``rule`` says what passes."""
+    def check(value):
+        parsed = parse(value)
+        if not ok(parsed):
+            raise ValueError(f"expected {rule}, got {parsed!r}")
+        return parsed
+    return check

@@ -20,9 +20,8 @@ from oran_isac.clock import SharedClock
 from oran_isac.dapp import (
     AOA_SHIFT,
     ECHO_ENERGY,
+    BlockLengthMismatch,
     DappConfig,
-    EmptyMap,
-    LengthMismatch,
     SensingDapp,
     _median,
     angular_entropy,
@@ -125,7 +124,7 @@ class TestDelayDopplerMap:
         cfg = make_cfg()
         grid, probe = generate_probe(cfg)
         bad = IqBlock(SensingMetadata(), np.zeros(10, dtype=complex))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(BlockLengthMismatch):
             delay_doppler_map(bad, cfg, grid)
 
 
@@ -190,10 +189,6 @@ class TestEstimateKpis:
             block, _ = apply_scene(probe, cfg, scene, 0, BEAMS)
             rep = estimate_kpis(delay_doppler_map(block, cfg, grid), cfg, BEAMS, 0)
             assert 0.0 <= rep.confidence <= 1.0
-
-    def test_empty_map(self):
-        with pytest.raises(EmptyMap):
-            estimate_kpis(np.zeros((0, 0)), make_cfg(), BEAMS, 0)
 
 
 class TestIndicators:
@@ -441,6 +436,40 @@ class TestRunLoop:
         assert xapp.decode_errors == Counter(UnknownVersion=1, Truncated=1, UnknownType=1)
         assert dapp.decode_errors == Counter(LengthMismatch=1, Truncated=1, UnknownType=1)
         assert not dapp.config.sic_enabled
+
+    @pytest.mark.parametrize("scene, error", [
+        (EchoScene(targets=(Target(20.0),), snr_db=20.0, seed=-1), "ValueError"),
+        (EchoScene(targets=(Target(1e5),), snr_db=20.0), "DelayExceedsBurst"),
+    ], ids=["negative-seed", "delay-beyond-burst"])
+    def test_a_burst_that_raises_closes_the_subscription_not_the_thread(self, scene, error):
+        dapp, xapp = small_stack(period_ms=10.0, scene=scene)
+        try:
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
+            deadline = time.monotonic() + 1.0
+            while dapp.machine.state != SubState.CLOSED and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert dapp.machine.state == SubState.CLOSED
+            assert dapp._thread.is_alive()
+            # The thread still serves control: a command is applied and acked.
+            xapp.set_sic(False, timeout=1.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert dapp.burst_errors == Counter({error: 1})
+        assert not xapp.reports
+
+    def test_a_zero_amplitude_target_without_si_keeps_reporting(self):
+        """An all-zero burst gives an all-zero delay profile: its spread is 0, not a raise."""
+        dapp, xapp = small_stack(period_ms=10.0,
+                                 scene=EchoScene(targets=(Target(20.0, amplitude=0.0),)))
+        try:
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
+            xapp.await_report(5, timeout=1.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert not dapp.burst_errors
+        assert all(r.report.multipath_spread_s == 0.0 for r in xapp.reports)
 
     def test_only_a_subscription_or_a_new_period_restarts_the_schedule(self):
         dapp = offline_dapp(EchoScene(), DappConfig(report_period_ms=10.0))

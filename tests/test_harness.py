@@ -128,9 +128,16 @@ class TestLoadConfig:
         ('{"sede": 3}', "field 'sede'"),
         ('{"out_dir": "results"}', "field 'out_dir'"),
         ('{"seed": -1}', "field 'seed'"),
+        ('{"schedule_ms": [-5]}', "field 'schedule_ms'"),
+        ('{"schedule_ms": []}', "field 'schedule_ms'"),
+        ('{"probe_period_ms": 0}', "field 'probe_period_ms'"),
+        ('{"segment_duration_s": -1}', "field 'segment_duration_s'"),
+        ('{"num_probes": 0}', "field 'num_probes'"),
     ], ids=["num-probes", "seed", "transport", "schedule", "schedule-string", "not-object",
          "bad-json", "float-count", "bool-count", "float-seed", "string-count",
-         "misspelled-count", "misspelled-seed", "out-dir", "negative-seed"])
+         "misspelled-count", "misspelled-seed", "out-dir", "negative-seed",
+         "negative-period", "empty-schedule", "zero-probe-period", "negative-duration",
+         "zero-probes"])
     def test_malformed_document_raises_typed_error(self, tmp_path, text, match):
         path = tmp_path / "exp.json"
         path.write_text(text)
@@ -223,7 +230,8 @@ class TestExperimentB:
             assert float(l) == pytest.approx(float(t) + float(c), abs=1e-9)
 
     def test_tcp_transport_smoke(self):
-        cfg = small_config(num_probes=10, transport=EndpointKind.TCP)
+        # exp-b reads no schedule: an empty one must not stop it.
+        cfg = small_config(num_probes=10, transport=EndpointKind.TCP, schedule_ms=())
         summary = run_experiment_b(cfg)
         assert summary.sample_count == 10
         assert summary.metadata["transport"] == "tcp"
@@ -258,12 +266,15 @@ class TestSensingAccuracy:
                        (tmp_path / "s" / "accuracy.csv").read_text().splitlines()[1:]}
         assert true_ranges == {"60.000000"}
 
-    def test_bad_scene_file(self, tmp_path):
+    def test_bad_scene_file(self, tmp_path, capsys):
         from oran_isac.cli import main
         path = tmp_path / "scene.json"
         path.write_text("{not json")
-        with pytest.raises(SceneParseError):
+        with pytest.raises(SystemExit) as exit_:
             main(["sense", "--scene", str(path), "--out", str(tmp_path / "s")])
+        assert exit_.value.code == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_outputs_digest(self, tmp_path):
         cfg = ExperimentConfig(scene=load_scene(CONFIGS / "scene.json"),
@@ -356,7 +367,14 @@ class TestCli:
         (["sense", "--seed", "-1"], "--seed"),
         (["exp-b", "--probes", "-3"], "--probes"),
         (["sense", "--trials", "-3"], "--trials"),
-    ], ids=["exp-b-seed", "sense-seed", "probes", "trials"])
+        (["exp-a", "--schedule", "0"], "--schedule"),
+        (["exp-a", "--schedule", "20,nan"], "--schedule"),
+        (["exp-a", "--duration-s", "-1"], "--duration-s"),
+        (["exp-b", "--period-ms", "nan"], "--period-ms"),
+        (["exp-b", "--probes", "0"], "--probes"),
+        (["sense", "--scene", str(CONFIGS / "policy.json")], "--scene"),
+    ], ids=["exp-b-seed", "sense-seed", "probes", "trials", "zero-schedule", "nan-schedule",
+         "negative-duration", "nan-period", "zero-probes", "not-a-scene"])
     def test_bad_count_flag_exits_naming_it(self, argv, flag, capsys):
         from oran_isac.cli import _build_parser
         with pytest.raises(SystemExit) as exit_:

@@ -16,10 +16,8 @@ from oran_isac.ofh import (
     WrongLength,
     decode_metadata,
     encode_metadata,
-    format_metadata_vector,
     fronthaul_rate,
     lookup_waveform,
-    parse_metadata_vector,
     waveform_from_dict,
 )
 
@@ -90,17 +88,17 @@ def test_golden_vectors():
     lines = VECTORS.read_text().strip().splitlines()
     assert len(lines) >= 8
     for line in lines:
-        frame, expected = parse_metadata_vector(line)
+        hexpart, rest = line.split(" ", 1)
+        fields = dict(kv.split("=") for kv in rest.split())
+        frame = bytes.fromhex(hexpart)
+        expected = SensingMetadata(
+            tx_timestamp=int(fields["ts"]),
+            waveform_id=int(fields["wf"]),
+            beam_index=int(fields["beam"]),
+            sensing_flag=bool(int(fields["flag"])),
+        )
         assert decode_metadata(frame) == expected
         assert encode_metadata(expected) == frame
-
-
-def test_format_parse_round_trip():
-    m = SensingMetadata(tx_timestamp=123456789, waveform_id=42, beam_index=3,
-                        sensing_flag=True)
-    frame, parsed = parse_metadata_vector(format_metadata_vector(m))
-    assert parsed == m
-    assert frame == encode_metadata(m)
 
 
 def make_cfg(**kw):
