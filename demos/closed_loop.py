@@ -42,10 +42,8 @@ def main() -> None:
             xapp.closed_loop_probe()
 
         telemetry = [s.telemetry_latency_ns / 1e6 for s in xapp.samples]
-        control = [s.control_latency_ns / 1e6 for s in xapp.samples
-                   if s.control_latency_ns is not None]
-        closed = [s.closed_loop_ns / 1e6 for s in xapp.samples
-                  if s.closed_loop_ns is not None]
+        control = [s.control_latency_ns / 1e6 for s in xapp.samples]
+        closed = [s.closed_loop_ns / 1e6 for s in xapp.samples]
         print(f"telemetry  p50 {percentile(telemetry, 50):6.2f} ms  "
               f"p95 {percentile(telemetry, 95):6.2f} ms")
         print(f"control    p50 {percentile(control, 50):6.2f} ms  "

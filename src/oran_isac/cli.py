@@ -14,14 +14,17 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .control import PolicyParseError
 from .harness import (
     CONFIG_FIELDS,
+    ConfigParseError,
     ExperimentConfig,
     load_config,
     run_experiment_a,
     run_experiment_b,
     run_sensing_accuracy,
 )
+from .ofh import WaveformParseError
 from .radio import SceneParseError, load_scene
 from .transport import EndpointKind
 
@@ -36,7 +39,8 @@ def _flag(parse, read=float):
     def arg_type(text: str):
         try:
             return parse(read(text))
-        except (OSError, SceneParseError, TypeError, ValueError) as e:
+        except (ConfigParseError, OSError, PolicyParseError, SceneParseError,
+                WaveformParseError, TypeError, ValueError) as e:
             raise argparse.ArgumentTypeError(str(e)) from None
     return arg_type
 
@@ -55,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--transport", type=EndpointKind, metavar="{inproc,tcp}")
-        p.add_argument("--config", type=Path, help="JSON experiment configuration")
+        p.add_argument("--config", type=_flag(load_config, Path), default=ExperimentConfig(),
+                       help="JSON experiment configuration")
         p.add_argument("--out", dest="out_dir", type=Path, default=Path("results"),
                        help="output directory for CSVs and summary.json")
         p.add_argument("--seed", type=_flag(CONFIG_FIELDS["seed"], int),
@@ -91,7 +96,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """
     names = {f.name for f in fields(ExperimentConfig)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    cfg = load_config(args.config, **given) if args.config else ExperimentConfig(**given)
+    cfg = replace(args.config, **given)
     if args.seed is not None:
         cfg.scene = replace(cfg.scene, seed=args.seed)
     return cfg

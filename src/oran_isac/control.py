@@ -36,7 +36,7 @@ from .e2sm import (
     valid_period,
 )
 from .schema import json_float, json_list, json_str, load_json, read_document
-from .transport import Channel, Disconnected, Timeout
+from .transport import Channel, Disconnected
 
 
 class ControlError(Exception):
@@ -145,28 +145,25 @@ def check_beam(policy: A1IsacPolicy, beam_azimuth_deg: float) -> PolicyDecision:
 
 @dataclass(frozen=True)
 class LatencySample:
-    """One instrumented telemetry (and optionally control) round."""
+    """One instrumented telemetry and control round."""
 
     sequence_number: int
     t0_ns: int
     t1_ns: int
-    t_cmd_issue_ns: int | None = None
-    t_cmd_applied_ns: int | None = None
+    t_cmd_issue_ns: int
+    t_cmd_applied_ns: int
 
     @property
     def telemetry_latency_ns(self) -> int:
         return self.t1_ns - self.t0_ns
 
     @property
-    def control_latency_ns(self) -> int | None:
-        if self.t_cmd_issue_ns is None or self.t_cmd_applied_ns is None:
-            return None
+    def control_latency_ns(self) -> int:
         return self.t_cmd_applied_ns - self.t_cmd_issue_ns
 
     @property
-    def closed_loop_ns(self) -> int | None:
-        ctrl = self.control_latency_ns
-        return None if ctrl is None else self.telemetry_latency_ns + ctrl
+    def closed_loop_ns(self) -> int:
+        return self.telemetry_latency_ns + self.control_latency_ns
 
 
 @dataclass
@@ -200,17 +197,15 @@ class XApp:
         self.decode_errors: Counter[str] = Counter()
         self._pending_cond = threading.Condition()
         self._report_cond = threading.Condition()
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     # -- receive loop -------------------------------------------------------
 
     def _recv_loop(self) -> None:
-        while not self._stop.is_set():
+        """Serve the channel until it closes: ``stop()`` closing it ends the loop."""
+        while True:
             try:
-                frame = self.channel.recv(timeout=0.1)
-            except Timeout:
-                continue
+                frame = self.channel.recv()
             except Disconnected:
                 break
             t1 = self.clock.now_ns()
@@ -239,12 +234,11 @@ class XApp:
         self._thread = threading.Thread(target=self._recv_loop, name="xapp-recv", daemon=True)
         self._thread.start()
 
-    def stop(self, join_timeout: float = 5.0) -> None:
-        """Stop the receive loop, then close its channel, which it no longer reads."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(join_timeout)
+    def stop(self) -> None:
+        """Close the channel, which ends the receive loop, then join it."""
         self.channel.close()
+        if self._thread is not None:
+            self._thread.join(5.0)
 
     def _request(self, msg_type: MsgType, payload, timeout: float) -> E2SensMessage:
         """Send one request and wait for the reply to its correlation id.
@@ -369,15 +363,3 @@ class XApp:
         )
         self.samples.append(sample)
         return sample
-
-
-def write_sample_log(samples: list[LatencySample], path: str | Path) -> None:
-    """Append-only CSV of latency samples."""
-    lines = ["sequence_number,t0_ns,t1_ns,t_cmd_issue_ns,t_cmd_applied_ns"]
-    for s in samples:
-        lines.append(
-            f"{s.sequence_number},{s.t0_ns},{s.t1_ns},"
-            f"{'' if s.t_cmd_issue_ns is None else s.t_cmd_issue_ns},"
-            f"{'' if s.t_cmd_applied_ns is None else s.t_cmd_applied_ns}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -276,7 +276,6 @@ class SensingDapp:
         # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
         # all that _apply_command can change about a burst besides its seed.
         self._echo_cache: dict[tuple[int, int, bool], SceneEcho] = {}
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     # -- pipeline -----------------------------------------------------------
@@ -404,7 +403,7 @@ class SensingDapp:
         return round(self.config.report_period_ms * 1e6)
 
     def run(self) -> None:
-        """Serve the channel until stopped or the transport closes.
+        """Serve the channel until it closes: ``stop()`` closing it ends the loop.
 
         Bursts keep to the report period's deadline grid. A burst that
         overruns its slot is followed by the next one after a short gap
@@ -415,7 +414,7 @@ class SensingDapp:
         """
         next_deadline = self.clock.now_ns() + self._period_ns()
         try:
-            while not self._stop.is_set():
+            while True:
                 now = self.clock.now_ns()
                 if now >= next_deadline:
                     if self.machine.state == SubState.ACTIVE:
@@ -441,8 +440,7 @@ class SensingDapp:
         self._thread = threading.Thread(target=self.run, name="sensing-dapp", daemon=True)
         self._thread.start()
 
-    def stop(self, join_timeout: float = 5.0) -> None:
-        self._stop.set()
+    def stop(self) -> None:
         self.channel.close()
         if self._thread is not None:
-            self._thread.join(join_timeout)
+            self._thread.join(5.0)

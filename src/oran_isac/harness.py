@@ -10,8 +10,9 @@ Three experiments, mirroring the prototype methodology at desk scale:
 * Sensing accuracy: run the dApp's own sensing pipeline over seeded bursts
   and score range/velocity errors against simulator ground truth.
 
-All outputs are CSV plus a summary JSON; published prototype numbers are
-attached as clearly labeled annotations, never as pass/fail criteria.
+All outputs are CSV plus a summary JSON, written by ``_write_run`` alone;
+published prototype numbers are attached as clearly labeled annotations,
+never as pass/fail criteria.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .clock import SharedClock
-from .control import A1IsacPolicy, XApp, policy_from_dict, write_sample_log
+from .control import A1IsacPolicy, XApp, policy_from_dict
 from .dapp import DappConfig, SensingDapp, evaluate_triggers
 from .e2sm import MAX_PERIOD_MS, SubscriptionMode, TriggerConfig, valid_period
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
@@ -36,9 +37,9 @@ from .schema import (
 from .stats import (
     ExperimentSummary,
     compliance_table,
+    ecdf,
     latency_percentiles_ms,
     segment_stats,
-    write_ecdf_csv,
 )
 from .transport import EndpointKind, channel_pair
 
@@ -105,15 +106,15 @@ CONFIG_FIELDS = {
 }
 
 
-def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+def load_config(path: str | Path) -> ExperimentConfig:
     """Build an experiment configuration from a JSON document.
 
     ``scene``, ``waveform`` and ``policy`` go through their own documents'
     parsers; a key the document leaves out keeps its ``ExperimentConfig``
     default. A top-level ``seed`` is the seed of a scene that has none of its
-    own. ``overrides`` replace fields after the document is read. A document
-    that is not a JSON object, or a malformed or unknown top-level field,
-    raises ``ConfigParseError`` naming the document and the field.
+    own. A document that is not a JSON object, or a malformed or unknown
+    top-level field, raises ``ConfigParseError`` naming the document and the
+    field.
     """
     doc = load_json(path, ConfigParseError)
 
@@ -123,8 +124,21 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             cfg.scene = replace(cfg.scene, seed=seed)
         return cfg
 
-    return replace(read_document(doc, build, CONFIG_FIELDS, ConfigParseError, str(path)),
-                   **overrides)
+    return read_document(doc, build, CONFIG_FIELDS, ConfigParseError, str(path))
+
+
+def _write_run(out_dir: Path | None, summary: dict, tables: dict[str, list[str]]) -> None:
+    """Write a run directory: each table as ``<name>.csv``, then ``summary.json``.
+
+    A table's first line is its header. Nothing is written without a directory.
+    """
+    if out_dir is None:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, lines in tables.items():
+        (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
 @dataclass
@@ -219,13 +233,10 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
             "sequence_gaps": gaps,
         },
     )
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["time_s,inter_arrival_ms,target_ms"]
-        lines += [f"{t:.6f},{i:.6f},{g}" for t, i, g in rows]
-        (out / "interarrival.csv").write_text("\n".join(lines) + "\n")
-        summary.write_json(out / "summary.json")
+    _write_run(cfg.out_dir, summary.to_dict(), {"interarrival": [
+        "time_s,inter_arrival_ms,target_ms",
+        *(f"{t:.6f},{i:.6f},{g}" for t, i, g in rows),
+    ]})
     return summary
 
 
@@ -251,13 +262,10 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
     control = [s.control_latency_ns / 1e6 for s in samples]
     closed = [s.closed_loop_ns / 1e6 for s in samples]
 
-    t50, t95, t99 = latency_percentiles_ms(telemetry)
-    c50, c95, c99 = latency_percentiles_ms(control)
-    l50, l95, l99 = latency_percentiles_ms(closed)
     summary = ExperimentSummary(
-        telemetry_p50_ms=t50, telemetry_p95_ms=t95, telemetry_p99_ms=t99,
-        control_p50_ms=c50, control_p95_ms=c95, control_p99_ms=c99,
-        closed_loop_p50_ms=l50, closed_loop_p95_ms=l95, closed_loop_p99_ms=l99,
+        telemetry_ms=latency_percentiles_ms(telemetry),
+        control_ms=latency_percentiles_ms(control),
+        closed_loop_ms=latency_percentiles_ms(closed),
         compliance=compliance_table(closed),
         transport_drops=drops,
         sample_count=len(samples),
@@ -267,18 +275,22 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
             "transport": cfg.transport.value,
         },
     )
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_ecdf_csv(telemetry, out / "latency_cdf.csv")
-        lines = ["sequence_number,telemetry_ms,control_ms,closed_loop_ms"]
-        lines += [
-            f"{s.sequence_number},{t:.6f},{c:.6f},{l:.6f}"
-            for s, t, c, l in zip(samples, telemetry, control, closed)
-        ]
-        (out / "breakdown.csv").write_text("\n".join(lines) + "\n")
-        write_sample_log(samples, out / "samples.csv")
-        summary.write_json(out / "summary.json")
+    _write_run(cfg.out_dir, summary.to_dict(), {
+        "latency_cdf": [
+            "latency_ms,cumulative_fraction",
+            *(f"{v:.6f},{f:.6f}" for v, f in ecdf(telemetry)),
+        ],
+        "breakdown": [
+            "sequence_number,telemetry_ms,control_ms,closed_loop_ms",
+            *(f"{s.sequence_number},{t:.6f},{c:.6f},{l:.6f}"
+              for s, t, c, l in zip(samples, telemetry, control, closed)),
+        ],
+        "samples": [
+            "sequence_number,t0_ns,t1_ns,t_cmd_issue_ns,t_cmd_applied_ns",
+            *(f"{s.sequence_number},{s.t0_ns},{s.t1_ns},"
+              f"{s.t_cmd_issue_ns},{s.t_cmd_applied_ns}" for s in samples),
+        ],
+    })
     return summary
 
 
@@ -326,7 +338,7 @@ def run_sensing_accuracy(cfg: ExperimentConfig) -> AccuracyReport:
     range_errors: list[float] = []
     vel_errors: list[float] = []
     hits = misses = 0
-    rows: list[str] = []
+    rows = ["trial,true_range_m,est_range_m,true_velocity_mps,est_velocity_mps,trigger_fired"]
     for trial in range(cfg.accuracy_trials):
         report = dapp.sense_once()
         fired = evaluate_triggers(report, None, trig)
@@ -362,10 +374,5 @@ def run_sensing_accuracy(cfg: ExperimentConfig) -> AccuracyReport:
         trigger_hits=hits,
         trigger_misses=misses,
     )
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        header = "trial,true_range_m,est_range_m,true_velocity_mps,est_velocity_mps,trigger_fired"
-        (out / "accuracy.csv").write_text("\n".join([header] + rows) + "\n")
-        (out / "summary.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    _write_run(cfg.out_dir, result.to_dict(), {"accuracy": rows})
     return result

@@ -8,10 +8,8 @@ stated in the emitted summary metadata so plots are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -99,27 +97,25 @@ class SegmentStats:
     count: int
 
 
+def _no_percentiles() -> dict[str, float | None]:
+    return {"p50": None, "p95": None, "p99": None}
+
+
 @dataclass
 class ExperimentSummary:
     """Aggregate results of one experiment run."""
 
     segments: list[SegmentStats] = field(default_factory=list)
-    telemetry_p50_ms: float | None = None
-    telemetry_p95_ms: float | None = None
-    telemetry_p99_ms: float | None = None
-    control_p50_ms: float | None = None
-    control_p95_ms: float | None = None
-    control_p99_ms: float | None = None
-    closed_loop_p50_ms: float | None = None
-    closed_loop_p95_ms: float | None = None
-    closed_loop_p99_ms: float | None = None
+    telemetry_ms: dict[str, float | None] = field(default_factory=_no_percentiles)
+    control_ms: dict[str, float | None] = field(default_factory=_no_percentiles)
+    closed_loop_ms: dict[str, float | None] = field(default_factory=_no_percentiles)
     compliance: dict[str, float] = field(default_factory=dict)
     transport_drops: int = 0
     sample_count: int = 0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        trio = (self.telemetry_p50_ms, self.telemetry_p95_ms, self.telemetry_p99_ms)
+        trio = tuple(self.telemetry_ms.values())
         if None not in trio and not trio[0] <= trio[1] <= trio[2]:
             raise ValueError("telemetry percentiles must be nondecreasing")
         for frac in self.compliance.values():
@@ -129,21 +125,9 @@ class ExperimentSummary:
     def to_dict(self) -> dict:
         return {
             "segments": [vars(s) for s in self.segments],
-            "telemetry_ms": {
-                "p50": self.telemetry_p50_ms,
-                "p95": self.telemetry_p95_ms,
-                "p99": self.telemetry_p99_ms,
-            },
-            "control_ms": {
-                "p50": self.control_p50_ms,
-                "p95": self.control_p95_ms,
-                "p99": self.control_p99_ms,
-            },
-            "closed_loop_ms": {
-                "p50": self.closed_loop_p50_ms,
-                "p95": self.closed_loop_p95_ms,
-                "p99": self.closed_loop_p99_ms,
-            },
+            "telemetry_ms": self.telemetry_ms,
+            "control_ms": self.control_ms,
+            "closed_loop_ms": self.closed_loop_ms,
             "compliance": self.compliance,
             "transport_drops": self.transport_drops,
             "sample_count": self.sample_count,
@@ -153,28 +137,15 @@ class ExperimentSummary:
             "metadata": self.metadata,
         }
 
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+def latency_percentiles_ms(values_ms) -> dict[str, float]:
+    """The p50, p95 and p99 of the samples, keyed as ``summary.json`` writes them."""
+    return {f"p{p}": percentile(values_ms, p) for p in (50, 95, 99)}
 
 
-def latency_percentiles_ms(values_ms) -> tuple[float, float, float]:
-    return (
-        percentile(values_ms, 50.0),
-        percentile(values_ms, 95.0),
-        percentile(values_ms, 99.0),
-    )
-
-
-def compliance_table(latencies_ms,
-                     thresholds: dict[str, float] = USE_CASE_THRESHOLDS_MS) -> dict[str, float]:
-    return {name: compliance_fraction(latencies_ms, thr) for name, thr in thresholds.items()}
-
-
-def write_ecdf_csv(values_ms, path: str | Path) -> None:
-    points = ecdf(values_ms)
-    lines = ["latency_ms,cumulative_fraction"]
-    lines += [f"{v:.6f},{f:.6f}" for v, f in points]
-    Path(path).write_text("\n".join(lines) + "\n")
+def compliance_table(latencies_ms) -> dict[str, float]:
+    return {name: compliance_fraction(latencies_ms, thr)
+            for name, thr in USE_CASE_THRESHOLDS_MS.items()}
 
 
 def segment_stats(inter_arrivals_ms, target_ms: float) -> SegmentStats:

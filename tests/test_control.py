@@ -21,7 +21,6 @@ from oran_isac.control import (
     enforce_policy,
     load_policy,
     policy_from_dict,
-    write_sample_log,
 )
 from oran_isac.dapp import DappConfig, SensingDapp
 from oran_isac.e2sm import (
@@ -294,6 +293,21 @@ class TestXApp:
         finally:
             dapp_end.close()
 
+    @pytest.mark.parametrize("kind", list(EndpointKind), ids=lambda k: k.value)
+    def test_stop_of_an_idle_xapp_is_prompt(self, kind):
+        # Closing the channel ends the receive loop at once: no poll to wait out.
+        peer, xapp_end = channel_pair(kind)
+        xapp = XApp(xapp_end)
+        xapp.start()
+        try:
+            time.sleep(0.01)
+            start = time.monotonic()
+            xapp.stop()
+            assert time.monotonic() - start < 0.05
+            assert not xapp._thread.is_alive()
+        finally:
+            peer.close()
+
     def test_late_reply_is_counted_not_kept(self):
         xapp_end, peer = channel_pair()
         xapp = XApp(xapp_end)
@@ -311,18 +325,3 @@ class TestXApp:
             xapp.stop()
         assert xapp.late_replies == 1
         assert xapp._pending == {}
-
-
-def test_sample_log_format(tmp_path):
-    from oran_isac.control import LatencySample
-
-    samples = [
-        LatencySample(1, 100, 200, 250, 300),
-        LatencySample(2, 400, 500, None, None),
-    ]
-    path = tmp_path / "samples.csv"
-    write_sample_log(samples, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sequence_number,t0_ns,t1_ns,t_cmd_issue_ns,t_cmd_applied_ns"
-    assert lines[1] == "1,100,200,250,300"
-    assert lines[2] == "2,400,500,,"

@@ -73,7 +73,7 @@ class TestLoadConfig:
         }
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
-        cfg = load_config(path, accuracy_trials=9)
+        cfg = replace(load_config(path), accuracy_trials=9)
         assert cfg.schedule_ms == (40.0, 10.0)
         assert cfg.num_probes == 123
         assert cfg.transport == EndpointKind.TCP
@@ -214,7 +214,7 @@ class TestExperimentB:
         cfg = small_config(out_dir=tmp_path / "b")
         summary = run_experiment_b(cfg)
         assert summary.sample_count == cfg.num_probes
-        assert summary.closed_loop_p50_ms >= summary.telemetry_p50_ms
+        assert summary.closed_loop_ms["p50"] >= summary.telemetry_ms["p50"]
         assert set(summary.compliance) == {
             "vehicular_perception", "uav_tracking",
             "industrial_control", "beam_management",
@@ -228,6 +228,14 @@ class TestExperimentB:
         for line in breakdown[1:]:
             _, t, c, l = line.split(",")
             assert float(l) == pytest.approx(float(t) + float(c), abs=1e-9)
+        # Each row of stamps reproduces its breakdown row.
+        stamps = (out / "samples.csv").read_text().splitlines()
+        assert stamps[0] == "sequence_number,t0_ns,t1_ns,t_cmd_issue_ns,t_cmd_applied_ns"
+        assert len(stamps) == len(breakdown)
+        for row, line in zip(stamps[1:], breakdown[1:]):
+            seq, t0, t1, issue, applied = map(int, row.split(","))
+            assert line == (f"{seq},{(t1 - t0) / 1e6:.6f},{(applied - issue) / 1e6:.6f},"
+                            f"{(t1 - t0 + applied - issue) / 1e6:.6f}")
 
     def test_tcp_transport_smoke(self):
         # exp-b reads no schedule: an empty one must not stop it.
@@ -373,11 +381,21 @@ class TestCli:
         (["exp-b", "--period-ms", "nan"], "--period-ms"),
         (["exp-b", "--probes", "0"], "--probes"),
         (["sense", "--scene", str(CONFIGS / "policy.json")], "--scene"),
+        (["exp-b", "--config", {"num_probes": 0}], "--config"),
+        (["exp-b", "--config", {"scene": {"snr_db": "x"}}], "--config"),
     ], ids=["exp-b-seed", "sense-seed", "probes", "trials", "zero-schedule", "nan-schedule",
-         "negative-duration", "nan-period", "zero-probes", "not-a-scene"])
-    def test_bad_count_flag_exits_naming_it(self, argv, flag, capsys):
+         "negative-duration", "nan-period", "zero-probes", "not-a-scene",
+         "config-zero-probes", "config-bad-scene"])
+    def test_bad_count_flag_exits_naming_it(self, argv, flag, capsys, tmp_path):
         from oran_isac.cli import _build_parser
+        path = tmp_path / "exp.json"
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):   # a --config document, written to a file
+                path.write_text(json.dumps(arg))
+                arg = str(path)
+            args.append(arg)
         with pytest.raises(SystemExit) as exit_:
-            _build_parser().parse_args(argv)
+            _build_parser().parse_args(args)
         assert exit_.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
