@@ -29,7 +29,6 @@ from .e2sm import (
     SensingReport,
     SubscriptionMode,
     SubscriptionRequestPayload,
-    SubscriptionResponsePayload,
     TriggerConfig,
     decode_message,
     encode_message,
@@ -49,6 +48,10 @@ class PolicyViolation(ControlError):
 
 class RequestTimeout(ControlError):
     pass
+
+
+class UnexpectedReply(ControlError):
+    """The reply to a request is not of the type, or has no payload, that answers it."""
 
 
 class PolicyParseError(Exception):
@@ -172,13 +175,23 @@ class ReceivedReport:
     t1_ns: int
 
 
+# The message type that answers each request type.
+_REPLY_TYPE = {
+    MsgType.SUBSCRIPTION_REQUEST: MsgType.SUBSCRIPTION_RESPONSE,
+    MsgType.CONTROL_REQUEST: MsgType.CONTROL_ACK,
+}
+
+
 class XApp:
     """Near-RT control client for one dApp channel.
 
     A single receive loop stamps t1 on every indication and routes responses
     and acks to their waiting requests by correlation id. Control commands and
     subscriptions go through policy enforcement before anything is sent. An
-    undecodable frame is counted by kind in ``decode_errors`` and dropped.
+    undecodable frame is counted by kind in ``decode_errors`` and dropped. A
+    reply of the wrong type for its request, or an empty subscription
+    response, is counted by type in ``unexpected_replies`` and raises
+    ``UnexpectedReply``.
     """
 
     def __init__(self, channel: Channel, policy: A1IsacPolicy | None = None,
@@ -195,6 +208,7 @@ class XApp:
         self._pending: dict[int, E2SensMessage | None] = {}
         self.late_replies = 0
         self.decode_errors: Counter[str] = Counter()
+        self.unexpected_replies: Counter[str] = Counter()
         self._pending_cond = threading.Condition()
         self._report_cond = threading.Condition()
         self._thread: threading.Thread | None = None
@@ -215,7 +229,6 @@ class XApp:
                 self.decode_errors[type(e).__name__] += 1
                 continue
             if msg.msg_type == MsgType.INDICATION:
-                assert isinstance(msg.payload, SensingReport)
                 received = ReceivedReport(msg.payload, t1)
                 with self._report_cond:
                     self.reports.append(received)
@@ -240,8 +253,8 @@ class XApp:
         if self._thread is not None:
             self._thread.join(5.0)
 
-    def _request(self, msg_type: MsgType, payload, timeout: float) -> E2SensMessage:
-        """Send one request and wait for the reply to its correlation id.
+    def _request(self, msg_type: MsgType, payload, timeout: float):
+        """Send one request and return the payload of the reply to its correlation id.
 
         The id is awaited from before the send until the wait ends, so the
         receive loop files only replies that someone still waits for.
@@ -255,7 +268,13 @@ class XApp:
                 if not self._pending_cond.wait_for(
                         lambda: self._pending[corr] is not None, timeout):
                     raise RequestTimeout(f"no reply for correlation id {corr}")
-                return self._pending[corr]
+                reply = self._pending[corr]
+                if reply.msg_type != _REPLY_TYPE[msg_type] or reply.payload is None:
+                    self.unexpected_replies[reply.msg_type.name] += 1
+                    raise UnexpectedReply(
+                        f"{reply.msg_type.name} with payload {reply.payload} "
+                        f"answers {msg_type.name} {corr}")
+                return reply.payload
         finally:
             with self._pending_cond:
                 del self._pending[corr]
@@ -282,18 +301,15 @@ class XApp:
         """Negotiate a subscription; returns the allocated subscription id."""
         request = SubscriptionRequestPayload(mode, period_ms=period_ms, trigger=trigger)
         self._enforce(request)
-        reply = self._request(MsgType.SUBSCRIPTION_REQUEST, request, timeout)
-        assert isinstance(reply.payload, SubscriptionResponsePayload)
-        self.subscription_id = reply.payload.subscription_id
+        response = self._request(MsgType.SUBSCRIPTION_REQUEST, request, timeout)
+        self.subscription_id = response.subscription_id
         if mode == SubscriptionMode.PERIODIC:
             self.current_period_ms = period_ms
         return self.subscription_id
 
     def _send_control(self, payload: ControlRequestPayload,
                       timeout: float) -> ControlAckPayload:
-        reply = self._request(MsgType.CONTROL_REQUEST, payload, timeout)
-        assert isinstance(reply.payload, ControlAckPayload)
-        return reply.payload
+        return self._request(MsgType.CONTROL_REQUEST, payload, timeout)
 
     def set_period(self, period_ms: float, timeout: float = 5.0) -> LatencySample:
         """Change the reporting period; returns the control-latency sample."""

@@ -32,7 +32,6 @@ from .e2sm import (
     SubEvent,
     SubscriptionMachine,
     SubscriptionMode,
-    SubscriptionRequestPayload,
     SubState,
     TriggerConfig,
     decode_message,
@@ -247,7 +246,9 @@ class SensingDapp:
     commands are applied as they arrive, always between emissions, and each is
     acknowledged with its receive and apply timestamps; one with an
     out-of-range value is counted in ``refused_commands`` and left unanswered.
-    An undecodable frame is counted by kind in ``decode_errors`` and dropped.
+    An undecodable frame is counted by kind in ``decode_errors`` and dropped,
+    and a frame of a type the dApp does not serve (an indication, a control
+    ack or a subscription response) by type in ``unexpected_frames``.
     A burst that raises, say on a scene no burst can carry, is counted by kind
     in ``burst_errors`` and closes the subscription; the thread keeps serving.
     """
@@ -272,6 +273,7 @@ class SensingDapp:
         self.refused_commands = 0
         self.decode_errors: Counter[str] = Counter()
         self.burst_errors: Counter[str] = Counter()
+        self.unexpected_frames: Counter[str] = Counter()
         self._probe_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
         # all that _apply_command can change about a burst besides its seed.
@@ -349,7 +351,6 @@ class SensingDapp:
             self.decode_errors[type(e).__name__] += 1
             return False
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
-            assert isinstance(msg.payload, SubscriptionRequestPayload)
             result = self.machine.handle_request(msg.payload, msg.correlation_id)
             if msg.payload.mode == SubscriptionMode.PERIODIC and not result.violation:
                 self.config.report_period_ms = msg.payload.period_ms
@@ -359,20 +360,16 @@ class SensingDapp:
                 self.channel.send(encode_message(out))
             return not result.violation
         if msg.msg_type == MsgType.CONTROL_REQUEST:
-            assert isinstance(msg.payload, ControlRequestPayload)
             received_at = self.clock.now_ns()
             period = self.config.report_period_ms
             if not self._apply_command(msg.payload):
                 self.refused_commands += 1
                 return False
-            applied_at = self.clock.now_ns()
-            ack = E2SensMessage(
-                msg_type=MsgType.CONTROL_ACK,
-                correlation_id=msg.correlation_id,
-                payload=ControlAckPayload(received_at, applied_at),
-            )
-            self.channel.send(encode_message(ack))
+            ack = ControlAckPayload(received_at, self.clock.now_ns())
+            self.channel.send(encode_message(
+                E2SensMessage(MsgType.CONTROL_ACK, msg.correlation_id, ack)))
             return self.config.report_period_ms != period
+        self.unexpected_frames[msg.msg_type.name] += 1
         return False
 
     # -- run loop -----------------------------------------------------------
@@ -390,11 +387,8 @@ class SensingDapp:
             if not evaluate_triggers(report, self.prev_report, self.trigger):
                 self.prev_report = report
                 return
-        report = replace(report, t0=self.clock.now_ns())
-        result = self.machine.step(SubEvent.INDICATION_READY, report=report)
-        if result.violation:
-            return
-        frame = encode_message(result.emitted[0])
+        report = report._replace(t0=self.clock.now_ns())
+        frame = encode_message(E2SensMessage(MsgType.INDICATION, sub.subscription_id, report))
         if not send_telemetry(self.channel, frame):
             self.dropped_blocks += 1
         self.prev_report = report

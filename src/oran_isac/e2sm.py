@@ -2,9 +2,11 @@
 
 A deliberately small fixed-width big-endian encoding stands in for ASN.1: a
 10-byte header (version, message type, correlation id, payload length)
-followed by a type-specific payload. Every malformed input maps to exactly one
-of four error kinds (Truncated, UnknownVersion, UnknownType, LengthMismatch)
-so receivers can count failure modes separately.
+followed by a type-specific payload. Each record is a named tuple whose field
+order is its wire order, so one ``struct`` layout per message both packs and
+unpacks it. Every malformed input maps to exactly one of four error kinds
+(Truncated, UnknownVersion, UnknownType, LengthMismatch) so receivers can
+count failure modes separately.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PROTOCOL_VERSION = 1
 HEADER_SIZE = 10
@@ -20,7 +23,6 @@ HEADER_SIZE = 10
 MAX_PERIOD_MS = 3_600_000.0
 
 _HEADER = struct.Struct(">BBII")
-_F64 = struct.Struct(">d")
 
 
 class E2DecodeError(Exception):
@@ -68,8 +70,7 @@ class CommandKind(enum.IntEnum):
     SET_TRIGGER = 3
 
 
-@dataclass(frozen=True)
-class TriggerConfig:
+class TriggerConfig(NamedTuple):
     """Event-driven reporting conditions; at least one must be set for EVENT mode."""
 
     echo_energy_threshold_db: float | None = None
@@ -80,9 +81,13 @@ class TriggerConfig:
         return self.echo_energy_threshold_db is None and self.aoa_shift_threshold_deg is None
 
 
-@dataclass(frozen=True)
-class SensingReport:
-    """One telemetry record exported by the sensing pipeline."""
+# A trigger on the wire: u8 flags (0x01 energy set, 0x02 AoA set), then both
+# thresholds as f64, 0.0 where unset.
+_TRIGGER = struct.Struct(">Bdd")
+
+
+class SensingReport(NamedTuple):
+    """One telemetry record exported by the sensing pipeline, in wire order."""
 
     t0: int                       # ns, stamped at generation
     delay_s: float
@@ -101,27 +106,34 @@ class SensingReport:
     sequence_number: int
 
 
-# Fixed INDICATION payload: u64 t0, eleven f64 metrics, u8 beam, u16 waveform,
+# INDICATION payload: u64 t0, eleven f64 metrics, u8 beam, u16 waveform,
 # u64 sequence number.
 _REPORT = struct.Struct(">Q11dBHQ")
 REPORT_WIRE_SIZE = _REPORT.size
 
 
-@dataclass(frozen=True)
-class SubscriptionRequestPayload:
+class SubscriptionRequestPayload(NamedTuple):
     mode: SubscriptionMode
     period_ms: float = 0.0
     trigger: TriggerConfig = TriggerConfig()
 
 
-@dataclass(frozen=True)
-class SubscriptionResponsePayload:
+# u8 mode, f64 period, then the trigger's flags and thresholds.
+_SUB_REQUEST = struct.Struct(">BdBdd")
+
+
+class SubscriptionResponsePayload(NamedTuple):
     subscription_id: int
     accepted: bool = True
 
 
-@dataclass(frozen=True)
-class ControlRequestPayload:
+# u32 subscription id, u8 accepted flag.
+_SUB_RESPONSE = struct.Struct(">I?")
+
+
+class ControlRequestPayload(NamedTuple):
+    """A command: its kind, its issue stamp and the one value the kind carries."""
+
     kind: CommandKind
     issued_at: int                # ns
     period_ms: float = 0.0
@@ -130,11 +142,24 @@ class ControlRequestPayload:
     trigger: TriggerConfig = TriggerConfig()
 
 
-@dataclass(frozen=True)
-class ControlAckPayload:
+# u8 kind, u64 issue stamp, then the kind's value: the record field that holds
+# it and its layout. A SET_SIC value is a 0/1 flag.
+_COMMAND_HEAD = struct.Struct(">BQ")
+_FLAG = struct.Struct(">?")
+_COMMAND_VALUE = {
+    CommandKind.SET_PERIOD: ("period_ms", struct.Struct(">d")),
+    CommandKind.SET_BEAM: ("beam_index", struct.Struct(">B")),
+    CommandKind.SET_SIC: ("sic_enabled", _FLAG),
+    CommandKind.SET_TRIGGER: ("trigger", _TRIGGER),
+}
+
+
+class ControlAckPayload(NamedTuple):
     received_at: int              # ns, command receipt at the dApp
     applied_at: int               # ns, when the command took effect
 
+
+_ACK = struct.Struct(">QQ")
 
 Payload = (
     SubscriptionRequestPayload
@@ -146,78 +171,59 @@ Payload = (
 )
 
 
-@dataclass(frozen=True)
-class E2SensMessage:
+class E2SensMessage(NamedTuple):
+    """A frame's content; its header version is always ``PROTOCOL_VERSION``."""
+
     msg_type: MsgType
     correlation_id: int
     payload: Payload = None
-    version: int = PROTOCOL_VERSION
 
 
-def _pack_trigger(trig: TriggerConfig) -> bytes:
-    flags = 0
-    if trig.echo_energy_threshold_db is not None:
-        flags |= 0x01
-    if trig.aoa_shift_threshold_deg is not None:
-        flags |= 0x02
-    return (
-        bytes([flags])
-        + _F64.pack(trig.echo_energy_threshold_db or 0.0)
-        + _F64.pack(trig.aoa_shift_threshold_deg or 0.0)
-    )
+def _trigger_wire(trigger: TriggerConfig) -> tuple[int, float, float]:
+    energy, aoa = trigger
+    return (energy is not None) | (aoa is not None) << 1, energy or 0.0, aoa or 0.0
 
 
-_TRIGGER_SIZE = 17
+def _enum_code(kind: type[enum.IntEnum], code: int):
+    """The member of ``kind`` a wire code names; ``UnknownType`` for any other code."""
+    try:
+        return kind(code)
+    except ValueError:
+        raise UnknownType(f"unknown {kind.__name__} code {code}") from None
 
 
-def _unpack_trigger(buf: bytes) -> TriggerConfig:
-    flags = buf[0]
-    if flags & ~0x03:
-        raise LengthMismatch(f"undefined trigger flag bits 0x{flags:02x}")
-    energy = _F64.unpack_from(buf, 1)[0]
-    aoa = _F64.unpack_from(buf, 9)[0]
-    return TriggerConfig(
-        echo_energy_threshold_db=energy if flags & 0x01 else None,
-        aoa_shift_threshold_deg=aoa if flags & 0x02 else None,
-    )
+def _flag_bits(flags: int, allowed: int, what: str) -> None:
+    """A flag byte may set only the ``allowed`` bits; ``LengthMismatch`` otherwise."""
+    if flags & ~allowed:
+        raise LengthMismatch(f"{what} 0x{flags:02x} sets undefined bits")
 
 
-def _encode_payload(msg: E2SensMessage) -> bytes:
-    p = msg.payload
-    if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
-        assert isinstance(p, SubscriptionRequestPayload)
-        return bytes([p.mode]) + _F64.pack(p.period_ms) + _pack_trigger(p.trigger)
-    if msg.msg_type == MsgType.SUBSCRIPTION_RESPONSE:
-        if p is None:
-            return b""
-        assert isinstance(p, SubscriptionResponsePayload)
-        return struct.pack(">IB", p.subscription_id, int(p.accepted))
-    if msg.msg_type == MsgType.INDICATION:
-        assert isinstance(p, SensingReport)
-        return _REPORT.pack(
-            p.t0, p.delay_s, p.range_m, p.doppler_hz, p.radial_velocity_mps,
-            p.aoa_azimuth_deg, p.aoa_elevation_deg, p.echo_energy_db,
-            p.si_power_db, p.multipath_spread_s, p.angular_entropy,
-            p.confidence, p.beam_index, p.waveform_id, p.sequence_number,
-        )
-    if msg.msg_type == MsgType.CONTROL_REQUEST:
-        assert isinstance(p, ControlRequestPayload)
-        head = bytes([p.kind]) + struct.pack(">Q", p.issued_at)
-        if p.kind == CommandKind.SET_PERIOD:
-            return head + _F64.pack(p.period_ms)
-        if p.kind == CommandKind.SET_BEAM:
-            return head + bytes([p.beam_index])
-        if p.kind == CommandKind.SET_SIC:
-            return head + bytes([int(p.sic_enabled)])
-        return head + _pack_trigger(p.trigger)
-    assert isinstance(p, ControlAckPayload)
-    return struct.pack(">QQ", p.received_at, p.applied_at)
+def _trigger(flags: int, energy: float, aoa: float) -> TriggerConfig:
+    _flag_bits(flags, 0x03, "trigger flags")
+    return TriggerConfig(energy if flags & 0x01 else None, aoa if flags & 0x02 else None)
+
+
+def _encode_payload(msg_type: MsgType, p: Payload) -> bytes:
+    if msg_type == MsgType.INDICATION:
+        return _REPORT.pack(*p)
+    if msg_type == MsgType.CONTROL_ACK:
+        return _ACK.pack(*p)
+    if msg_type == MsgType.SUBSCRIPTION_RESPONSE:
+        return b"" if p is None else _SUB_RESPONSE.pack(*p)
+    if msg_type == MsgType.SUBSCRIPTION_REQUEST:
+        *head, trigger = p
+        return _SUB_REQUEST.pack(*head, *_trigger_wire(trigger))
+    name, layout = _COMMAND_VALUE[p.kind]
+    value = getattr(p, name)
+    wire = _trigger_wire(value) if layout is _TRIGGER else (value,)
+    return _COMMAND_HEAD.pack(*p[:2]) + layout.pack(*wire)
 
 
 def encode_message(msg: E2SensMessage) -> bytes:
     """Serialize a message: 10-byte header plus type-specific payload."""
-    body = _encode_payload(msg)
-    return _HEADER.pack(msg.version, msg.msg_type, msg.correlation_id, len(body)) + body
+    msg_type, correlation_id, payload = msg
+    body = _encode_payload(msg_type, payload)
+    return _HEADER.pack(PROTOCOL_VERSION, msg_type, correlation_id, len(body)) + body
 
 
 def _expect(body: bytes, size: int, what: str) -> None:
@@ -226,59 +232,35 @@ def _expect(body: bytes, size: int, what: str) -> None:
 
 
 def _decode_payload(msg_type: MsgType, body: bytes) -> Payload:
-    if msg_type == MsgType.SUBSCRIPTION_REQUEST:
-        _expect(body, 1 + 8 + _TRIGGER_SIZE, "subscription request")
-        if body[0] not in (SubscriptionMode.PERIODIC, SubscriptionMode.EVENT):
-            raise UnknownType(f"unknown subscription mode {body[0]}")
-        return SubscriptionRequestPayload(
-            mode=SubscriptionMode(body[0]),
-            period_ms=_F64.unpack_from(body, 1)[0],
-            trigger=_unpack_trigger(body[9:]),
-        )
+    if msg_type == MsgType.INDICATION:
+        _expect(body, _REPORT.size, "indication")
+        return SensingReport._make(_REPORT.unpack(body))
+    if msg_type == MsgType.CONTROL_ACK:
+        _expect(body, _ACK.size, "control ack")
+        return ControlAckPayload._make(_ACK.unpack(body))
     if msg_type == MsgType.SUBSCRIPTION_RESPONSE:
         if not body:
             return None
-        _expect(body, 5, "subscription response")
-        sid, acc = struct.unpack(">IB", body)
-        if acc > 1:
-            raise LengthMismatch(f"accepted flag must be 0/1, got {acc}")
-        return SubscriptionResponsePayload(subscription_id=sid, accepted=bool(acc))
-    if msg_type == MsgType.INDICATION:
-        _expect(body, REPORT_WIRE_SIZE, "indication")
-        vals = _REPORT.unpack(body)
-        return SensingReport(
-            t0=vals[0], delay_s=vals[1], range_m=vals[2], doppler_hz=vals[3],
-            radial_velocity_mps=vals[4], aoa_azimuth_deg=vals[5],
-            aoa_elevation_deg=vals[6], echo_energy_db=vals[7],
-            si_power_db=vals[8], multipath_spread_s=vals[9],
-            angular_entropy=vals[10], confidence=vals[11],
-            beam_index=vals[12], waveform_id=vals[13], sequence_number=vals[14],
-        )
-    if msg_type == MsgType.CONTROL_REQUEST:
-        if len(body) < 9:
-            raise LengthMismatch("control request shorter than kind + timestamp")
-        try:
-            kind = CommandKind(body[0])
-        except ValueError:
-            raise UnknownType(f"unknown command kind {body[0]}") from None
-        issued_at = struct.unpack_from(">Q", body, 1)[0]
-        rest = body[9:]
-        if kind == CommandKind.SET_PERIOD:
-            _expect(rest, 8, "set-period value")
-            return ControlRequestPayload(kind, issued_at, period_ms=_F64.unpack(rest)[0])
-        if kind == CommandKind.SET_BEAM:
-            _expect(rest, 1, "set-beam value")
-            return ControlRequestPayload(kind, issued_at, beam_index=rest[0])
-        if kind == CommandKind.SET_SIC:
-            _expect(rest, 1, "set-sic value")
-            if rest[0] > 1:
-                raise LengthMismatch(f"sic flag must be 0/1, got {rest[0]}")
-            return ControlRequestPayload(kind, issued_at, sic_enabled=bool(rest[0]))
-        _expect(rest, _TRIGGER_SIZE, "set-trigger value")
-        return ControlRequestPayload(kind, issued_at, trigger=_unpack_trigger(rest))
-    _expect(body, 16, "control ack")
-    received_at, applied_at = struct.unpack(">QQ", body)
-    return ControlAckPayload(received_at=received_at, applied_at=applied_at)
+        _expect(body, _SUB_RESPONSE.size, "subscription response")
+        _flag_bits(body[-1], 0x01, "accepted flag")
+        return SubscriptionResponsePayload._make(_SUB_RESPONSE.unpack(body))
+    if msg_type == MsgType.SUBSCRIPTION_REQUEST:
+        _expect(body, _SUB_REQUEST.size, "subscription request")
+        mode, period, *trigger = _SUB_REQUEST.unpack(body)
+        return SubscriptionRequestPayload(
+            _enum_code(SubscriptionMode, mode), period, _trigger(*trigger))
+    if len(body) < _COMMAND_HEAD.size:
+        raise LengthMismatch("control request shorter than kind + timestamp")
+    kind = _enum_code(CommandKind, body[0])
+    _, stamp = _COMMAND_HEAD.unpack_from(body)
+    name, layout = _COMMAND_VALUE[kind]
+    rest = body[_COMMAND_HEAD.size:]
+    _expect(rest, layout.size, f"{kind.name} value")
+    if layout is _FLAG:
+        _flag_bits(rest[0], 0x01, f"{kind.name} flag")
+    wire = layout.unpack(rest)
+    value = _trigger(*wire) if layout is _TRIGGER else wire[0]
+    return ControlRequestPayload(kind, stamp, **{name: value})
 
 
 def decode_message(buf: bytes) -> E2SensMessage:
@@ -288,16 +270,12 @@ def decode_message(buf: bytes) -> E2SensMessage:
     version, mtype, corr, plen = _HEADER.unpack_from(buf)
     if version != PROTOCOL_VERSION:
         raise UnknownVersion(f"unsupported version {version}")
-    try:
-        msg_type = MsgType(mtype)
-    except ValueError:
-        raise UnknownType(f"unknown message type {mtype}") from None
+    msg_type = _enum_code(MsgType, mtype)
     if len(buf) < HEADER_SIZE + plen:
         raise Truncated(f"declared payload {plen}, available {len(buf) - HEADER_SIZE}")
     if len(buf) > HEADER_SIZE + plen:
         raise LengthMismatch(f"{len(buf) - HEADER_SIZE - plen} trailing bytes")
-    payload = _decode_payload(msg_type, buf[HEADER_SIZE:HEADER_SIZE + plen])
-    return E2SensMessage(msg_type=msg_type, correlation_id=corr, payload=payload)
+    return E2SensMessage(msg_type, corr, _decode_payload(msg_type, buf[HEADER_SIZE:]))
 
 
 class SubState(enum.Enum):
@@ -329,19 +307,26 @@ class StepResult:
     violation: str | None = None
 
 
+# Violation notes a machine keeps; later violations are only counted.
+MAX_VIOLATION_NOTES = 64
+
+
 class SubscriptionMachine:
     """dApp-side subscription lifecycle.
 
     Legal transitions: PENDING -> ACTIVE -> CLOSED and PENDING -> CLOSED.
     Indications are only emitted in ACTIVE; anything else is a protocol
-    violation that leaves the state untouched. Subscription IDs increase
-    monotonically across the machine's lifetime.
+    violation that leaves the state untouched. The first ``MAX_VIOLATION_NOTES``
+    violations are noted in ``violations`` and any later ones only counted in
+    ``unnoted_violations``, so a peer cannot grow the list. Subscription IDs
+    increase monotonically across the machine's lifetime.
     """
 
     def __init__(self) -> None:
         self._next_id = 1
         self.subscription: Subscription | None = None
         self.violations: list[str] = []
+        self.unnoted_violations = 0
 
     @property
     def state(self) -> SubState:
@@ -349,7 +334,10 @@ class SubscriptionMachine:
 
     def _violate(self, event: SubEvent) -> StepResult:
         note = f"{event.value} in {self.state.value}"
-        self.violations.append(note)
+        if len(self.violations) < MAX_VIOLATION_NOTES:
+            self.violations.append(note)
+        else:
+            self.unnoted_violations += 1
         return StepResult(self.state, violation=note)
 
     def step(self, event: SubEvent, *,
@@ -370,11 +358,8 @@ class SubscriptionMachine:
             sub = Subscription(subscription_id=self._next_id, mode=request.mode)
             self._next_id += 1
             self.subscription = sub
-            response = E2SensMessage(
-                msg_type=MsgType.SUBSCRIPTION_RESPONSE,
-                correlation_id=correlation_id,
-                payload=SubscriptionResponsePayload(sub.subscription_id),
-            )
+            response = E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, correlation_id,
+                                     SubscriptionResponsePayload(sub.subscription_id))
             return StepResult(sub.state, emitted=[response])
 
         if event == SubEvent.RESPONSE_SENT:
@@ -388,11 +373,7 @@ class SubscriptionMachine:
                 return self._violate(event)
             if report is None:
                 raise ValueError("INDICATION_READY needs the report")
-            ind = E2SensMessage(
-                msg_type=MsgType.INDICATION,
-                correlation_id=self.subscription.subscription_id,
-                payload=report,
-            )
+            ind = E2SensMessage(MsgType.INDICATION, self.subscription.subscription_id, report)
             return StepResult(SubState.ACTIVE, emitted=[ind])
 
         # CLOSE / TRANSPORT_LOST

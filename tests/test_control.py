@@ -15,6 +15,7 @@ from oran_isac.control import (
     PolicyParseError,
     PolicyViolation,
     RequestTimeout,
+    UnexpectedReply,
     Verdict,
     XApp,
     check_beam,
@@ -31,6 +32,7 @@ from oran_isac.e2sm import (
     MsgType,
     SubscriptionMode,
     SubscriptionRequestPayload,
+    SubscriptionResponsePayload,
     TriggerConfig,
     decode_message,
     encode_message,
@@ -325,3 +327,52 @@ class TestXApp:
             xapp.stop()
         assert xapp.late_replies == 1
         assert xapp._pending == {}
+
+
+# A request, a reply of the wrong type or with no payload for it, and the
+# reply's type as the xApp counts it.
+WRONG_REPLIES = {
+    "subscription-answered-by-ack": (
+        lambda xapp: xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0),
+        lambda corr: E2SensMessage(MsgType.CONTROL_ACK, corr, ControlAckPayload(1, 1)),
+        "CONTROL_ACK",
+    ),
+    "subscription-answered-by-empty-response": (
+        lambda xapp: xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0),
+        lambda corr: E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, corr),
+        "SUBSCRIPTION_RESPONSE",
+    ),
+    "control-answered-by-response": (
+        lambda xapp: xapp.set_sic(False),
+        lambda corr: E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, corr,
+                                   SubscriptionResponsePayload(1, True)),
+        "SUBSCRIPTION_RESPONSE",
+    ),
+}
+
+
+@pytest.mark.parametrize("request_op, reply, counted", WRONG_REPLIES.values(),
+                         ids=WRONG_REPLIES.keys())
+def test_a_wrong_reply_raises_a_typed_error_and_is_counted(request_op, reply, counted):
+    xapp_end, peer = channel_pair()
+
+    def stand_in_dapp():
+        request = decode_message(peer.recv(timeout=2.0))
+        peer.send(encode_message(reply(request.correlation_id)))
+
+    xapp = XApp(xapp_end)
+    xapp.start()
+    peer_thread = threading.Thread(target=stand_in_dapp, daemon=True)
+    peer_thread.start()
+    try:
+        with pytest.raises(UnexpectedReply):
+            request_op(xapp)
+        assert xapp._thread.is_alive()
+    finally:
+        peer_thread.join(2.0)
+        xapp.stop()
+        peer.close()
+    assert xapp.unexpected_replies == {counted: 1}
+    assert xapp.subscription_id is None
+    assert xapp.late_replies == 0
+    assert xapp._pending == {}

@@ -33,6 +33,7 @@ from oran_isac.dapp import (
 from oran_isac.e2sm import (
     MAX_PERIOD_MS,
     CommandKind,
+    ControlAckPayload,
     ControlRequestPayload,
     E2SensMessage,
     MsgType,
@@ -41,6 +42,7 @@ from oran_isac.e2sm import (
     SubscriptionMachine,
     SubscriptionMode,
     SubscriptionRequestPayload,
+    SubscriptionResponsePayload,
     SubState,
     TriggerConfig,
     encode_message,
@@ -435,6 +437,32 @@ class TestRunLoop:
             dapp.stop()
         assert xapp.decode_errors == Counter(UnknownVersion=1, Truncated=1, UnknownType=1)
         assert dapp.decode_errors == Counter(LengthMismatch=1, Truncated=1, UnknownType=1)
+        assert not dapp.config.sic_enabled
+
+    def test_frames_the_dapp_does_not_serve_are_counted_and_it_keeps_serving(self):
+        report = SensingReport(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+        unserved = (
+            E2SensMessage(MsgType.INDICATION, 7, report),
+            E2SensMessage(MsgType.CONTROL_ACK, 7, ControlAckPayload(1, 2)),
+            E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, 7, SubscriptionResponsePayload(7)),
+            E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, 8),
+        )
+        dapp, xapp = small_stack(period_ms=10.0)
+        try:
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
+            for msg in unserved:
+                xapp.channel.send(encode_message(msg))
+            xapp.set_sic(False, timeout=1.0)
+            xapp.await_report(len(xapp.reports) + 5, timeout=1.0)
+            assert dapp._thread.is_alive()
+            assert dapp.machine.state == SubState.ACTIVE
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert dapp.unexpected_frames == Counter(
+            INDICATION=1, CONTROL_ACK=1, SUBSCRIPTION_RESPONSE=2)
+        assert dapp.decode_errors == Counter()
+        assert dapp.machine.violations == []
         assert not dapp.config.sic_enabled
 
     @pytest.mark.parametrize("scene, error", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oran_isac.e2sm import (
     HEADER_SIZE,
+    MAX_VIOLATION_NOTES,
     REPORT_WIRE_SIZE,
     CommandKind,
     ControlAckPayload,
@@ -102,17 +103,27 @@ def canonical(msg: E2SensMessage) -> E2SensMessage:
     """Strip fields the wire format does not carry for the given kind."""
     p = msg.payload
     if isinstance(p, ControlRequestPayload):
-        from dataclasses import replace
         if p.kind != CommandKind.SET_PERIOD:
-            p = replace(p, period_ms=0.0)
+            p = p._replace(period_ms=0.0)
         if p.kind != CommandKind.SET_BEAM:
-            p = replace(p, beam_index=0)
+            p = p._replace(beam_index=0)
         if p.kind != CommandKind.SET_SIC:
-            p = replace(p, sic_enabled=False)
+            p = p._replace(sic_enabled=False)
         if p.kind != CommandKind.SET_TRIGGER:
-            p = replace(p, trigger=TriggerConfig())
-        return E2SensMessage(msg.msg_type, msg.correlation_id, p)
+            p = p._replace(trigger=TriggerConfig())
+        return msg._replace(payload=p)
     return msg
+
+
+# The payload class each message type decodes to. Records of different
+# classes compare equal when their values do, so ``==`` alone cannot tell.
+PAYLOAD_CLASS = {
+    MsgType.SUBSCRIPTION_REQUEST: SubscriptionRequestPayload,
+    MsgType.SUBSCRIPTION_RESPONSE: SubscriptionResponsePayload,
+    MsgType.INDICATION: SensingReport,
+    MsgType.CONTROL_REQUEST: ControlRequestPayload,
+    MsgType.CONTROL_ACK: ControlAckPayload,
+}
 
 
 class TestCodec:
@@ -132,7 +143,9 @@ class TestCodec:
     @settings(max_examples=300)
     def test_round_trip(self, msg):
         msg = canonical(msg)
-        assert decode_message(encode_message(msg)) == msg
+        decoded = decode_message(encode_message(msg))
+        assert decoded == msg
+        assert type(decoded.payload) is type(msg.payload)
 
     def test_empty_input_truncated(self):
         with pytest.raises(Truncated):
@@ -174,6 +187,11 @@ class TestCodec:
         except (Truncated, UnknownVersion, UnknownType, LengthMismatch):
             return
         assert isinstance(msg, E2SensMessage)
+        if msg.payload is None:
+            assert msg.msg_type == MsgType.SUBSCRIPTION_RESPONSE
+            assert len(blob) == HEADER_SIZE
+        else:
+            assert type(msg.payload) is PAYLOAD_CLASS[msg.msg_type]
 
 
 def test_golden_vectors():
@@ -263,4 +281,13 @@ class TestSubscriptionMachine:
         m.handle_request(PERIODIC, 1)
         res = m.step(SubEvent.REQUEST_RECEIVED, request=PERIODIC)
         assert res.violation is not None
+        assert m.state == SubState.ACTIVE
+
+    def test_violation_notes_are_bounded(self):
+        m = fresh_machine()
+        m.handle_request(PERIODIC, 1)
+        for corr in range(1000):
+            assert m.handle_request(PERIODIC, corr).violation is not None
+        assert len(m.violations) == MAX_VIOLATION_NOTES == 64
+        assert m.unnoted_violations == 936
         assert m.state == SubState.ACTIVE
