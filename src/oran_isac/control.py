@@ -35,7 +35,7 @@ from .e2sm import (
     valid_period,
 )
 from .schema import json_float, json_list, json_str, load_json, read_document
-from .transport import Channel, Disconnected
+from .transport import Channel, Disconnected, share_loop_cpu
 
 
 class ControlError(Exception):
@@ -52,6 +52,10 @@ class RequestTimeout(ControlError):
 
 class UnexpectedReply(ControlError):
     """The reply to a request is not of the type, or has no payload, that answers it."""
+
+
+class SubscriptionRefused(ControlError):
+    """The dApp answered a subscription request with ``accepted=False``."""
 
 
 class PolicyParseError(Exception):
@@ -191,7 +195,10 @@ class XApp:
     undecodable frame is counted by kind in ``decode_errors`` and dropped. A
     reply of the wrong type for its request, or an empty subscription
     response, is counted by type in ``unexpected_replies`` and raises
-    ``UnexpectedReply``.
+    ``UnexpectedReply``. A request sent to the xApp, which serves none, is
+    counted by type in ``unexpected_frames``; ``late_replies`` counts only
+    replies that nobody awaits. A refused subscription raises
+    ``SubscriptionRefused``.
     """
 
     def __init__(self, channel: Channel, policy: A1IsacPolicy | None = None,
@@ -209,6 +216,7 @@ class XApp:
         self.late_replies = 0
         self.decode_errors: Counter[str] = Counter()
         self.unexpected_replies: Counter[str] = Counter()
+        self.unexpected_frames: Counter[str] = Counter()
         self._pending_cond = threading.Condition()
         self._report_cond = threading.Condition()
         self._thread: threading.Thread | None = None
@@ -217,6 +225,7 @@ class XApp:
 
     def _recv_loop(self) -> None:
         """Serve the channel until it closes: ``stop()`` closing it ends the loop."""
+        share_loop_cpu()
         while True:
             try:
                 frame = self.channel.recv()
@@ -233,6 +242,8 @@ class XApp:
                 with self._report_cond:
                     self.reports.append(received)
                     self._report_cond.notify_all()
+            elif msg.msg_type in _REPLY_TYPE:     # a request: the xApp serves none
+                self.unexpected_frames[msg.msg_type.name] += 1
             else:
                 corr = msg.correlation_id
                 with self._pending_cond:
@@ -302,6 +313,8 @@ class XApp:
         request = SubscriptionRequestPayload(mode, period_ms=period_ms, trigger=trigger)
         self._enforce(request)
         response = self._request(MsgType.SUBSCRIPTION_REQUEST, request, timeout)
+        if not response.accepted:
+            raise SubscriptionRefused(f"subscription {response.subscription_id} refused")
         self.subscription_id = response.subscription_id
         if mode == SubscriptionMode.PERIODIC:
             self.current_period_ms = period_ms

@@ -40,7 +40,7 @@ from .e2sm import (
 )
 from .ofh import BeamTable, IqBlock, WaveformConfig, lookup_waveform
 from .radio import SPEED_OF_LIGHT, EchoScene, SceneEcho, apply_scene, generate_probe, scene_echo
-from .transport import Channel, Disconnected, Timeout, send_telemetry
+from .transport import Channel, Disconnected, Timeout, send_telemetry, share_loop_cpu
 
 ECHO_ENERGY = "ECHO_ENERGY"
 AOA_SHIFT = "AOA_SHIFT"
@@ -406,6 +406,7 @@ class SensingDapp:
         period. Deadlines are integer nanoseconds of ``self.clock``: a float
         of an epoch-anchored count keeps only about 256 ns of precision.
         """
+        share_loop_cpu()
         next_deadline = self.clock.now_ns() + self._period_ns()
         try:
             while True:

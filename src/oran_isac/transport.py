@@ -15,6 +15,8 @@ blocks while the kernel's socket buffer is full, and ``drops`` stays 0.
 from __future__ import annotations
 
 import enum
+import logging
+import os
 import socket
 import struct
 import threading
@@ -24,6 +26,12 @@ from collections import deque
 DEFAULT_OUTBOX_BOUND = 1024
 
 _LEN_PREFIX = struct.Struct(">I")
+
+_log = logging.getLogger(__name__)
+
+# Taken by the first failure to pin and never released, so that a process
+# logs that its loops run unpinned once, not once per thread.
+_unpinned_noted = threading.Lock()
 
 
 class TransportError(Exception):
@@ -213,3 +221,27 @@ def send_telemetry(channel: Channel, frame: bytes) -> bool:
         return True
     except Backpressure:
         return False
+
+
+def share_loop_cpu() -> None:
+    """Pin the calling thread to the lowest CPU this process may run on.
+
+    A loop thread calls this first. The threads of one interpreter share one
+    GIL, so a second CPU gives them almost no parallelism; what it adds is a
+    wake across CPUs on every hand-off, first of the receiver's socket or
+    condition, then of the GIL. Pinned to the same CPU, a report's hand-off
+    stays on one core. A thread inherits its creator's mask, so every loop of
+    a process lands on the same CPU. Where the platform has no
+    ``sched_setaffinity``, or refuses it, the thread runs unpinned and the
+    ``oran_isac.transport`` logger warns once per process.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            return
+        except OSError as e:
+            reason = str(e)
+    else:
+        reason = "the platform has no sched_setaffinity"
+    if _unpinned_noted.acquire(blocking=False):
+        _log.warning("loop threads run unpinned: %s", reason)

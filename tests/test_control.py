@@ -1,6 +1,8 @@
 """Policy enforcement and xApp control-loop tests."""
 
 import json
+import logging
+import os
 import sys
 import threading
 import time
@@ -15,6 +17,7 @@ from oran_isac.control import (
     PolicyParseError,
     PolicyViolation,
     RequestTimeout,
+    SubscriptionRefused,
     UnexpectedReply,
     Verdict,
     XApp,
@@ -39,6 +42,7 @@ from oran_isac.e2sm import (
 )
 from oran_isac.ofh import BeamTable, WaveformConfig
 from oran_isac.radio import EchoScene, Target
+from oran_isac import transport
 from oran_isac.transport import Disconnected, EndpointKind, channel_pair
 
 BEAMS = BeamTable({0: (0.0, 0.0), 1: (15.0, 0.0)})
@@ -376,3 +380,96 @@ def test_a_wrong_reply_raises_a_typed_error_and_is_counted(request_op, reply, co
     assert xapp.subscription_id is None
     assert xapp.late_replies == 0
     assert xapp._pending == {}
+
+
+def test_a_refused_subscription_raises_and_records_nothing():
+    xapp_end, peer = channel_pair()
+
+    def stand_in_dapp():
+        request = decode_message(peer.recv(timeout=2.0))
+        peer.send(encode_message(E2SensMessage(
+            MsgType.SUBSCRIPTION_RESPONSE, request.correlation_id,
+            SubscriptionResponsePayload(5, accepted=False))))
+
+    xapp = XApp(xapp_end)
+    xapp.start()
+    peer_thread = threading.Thread(target=stand_in_dapp, daemon=True)
+    peer_thread.start()
+    try:
+        with pytest.raises(SubscriptionRefused):
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
+    finally:
+        peer_thread.join(2.0)
+        xapp.stop()
+        peer.close()
+    assert xapp.subscription_id is None
+    assert xapp.current_period_ms is None
+    assert xapp.unexpected_replies == {}
+
+
+# A request the xApp serves none of, sent to it by its peer.
+REQUESTS_TO_THE_XAPP = {
+    "CONTROL_REQUEST": ControlRequestPayload(CommandKind.SET_SIC, issued_at=1),
+    "SUBSCRIPTION_REQUEST": SubscriptionRequestPayload(SubscriptionMode.PERIODIC,
+                                                       period_ms=10.0),
+}
+
+
+@pytest.mark.parametrize("msg_type", REQUESTS_TO_THE_XAPP)
+def test_a_request_sent_to_the_xapp_is_unexpected_not_a_late_reply(msg_type):
+    xapp_end, peer = channel_pair()
+    xapp = XApp(xapp_end)
+    xapp.start()
+    try:
+        peer.send(encode_message(E2SensMessage(
+            MsgType[msg_type], 1, REQUESTS_TO_THE_XAPP[msg_type])))
+        deadline = time.monotonic() + 2.0
+        while not xapp.unexpected_frames and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert xapp._thread.is_alive()
+    finally:
+        xapp.stop()
+        peer.close()
+    assert xapp.unexpected_frames == {msg_type: 1}
+    assert xapp.late_replies == 0
+
+
+def _subscribe_and_await_reports(dapp, xapp):
+    xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=20.0)
+    xapp.await_report(2, timeout=5.0)
+    return dapp._thread, xapp._thread
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the platform has no sched_getaffinity")
+def test_loop_threads_share_one_cpu():
+    dapp, xapp = stack()
+    try:
+        threads = _subscribe_and_await_reports(dapp, xapp)
+        masks = [os.sched_getaffinity(t.native_id) for t in threads]
+    finally:
+        xapp.stop()
+        dapp.stop()
+    assert [t.name for t in threads] == ["sensing-dapp", "xapp-recv"]
+    assert masks[0] == masks[1] == {min(os.sched_getaffinity(0))}
+
+
+def test_loops_run_unpinned_where_pinning_is_refused(monkeypatch, caplog):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    if hasattr(os, "sched_setaffinity"):
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    # A fresh once-per-process note, so that an earlier test's warning does not hide this one.
+    monkeypatch.setattr(transport, "_unpinned_noted", threading.Lock())
+    caplog.set_level(logging.WARNING, logger="oran_isac.transport")
+    dapp, xapp = stack()
+    try:
+        threads = _subscribe_and_await_reports(dapp, xapp)
+        assert all(t.is_alive() for t in threads)
+    finally:
+        xapp.stop()
+        dapp.stop()
+    warnings = [r for r in caplog.records if r.name == "oran_isac.transport"]
+    assert len(warnings) == 1
+    assert warnings[0].levelno == logging.WARNING
