@@ -1,4 +1,4 @@
-"""Closed-loop control demo: subscribe, steer, and measure the loop.
+"""Closed-loop control demo: subscribe, walk the period, and measure the loop.
 
 Brings up the full stack (simulator, sensing dApp, transport, control xApp),
 subscribes to periodic reports, walks the reporting period down the schedule

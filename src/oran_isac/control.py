@@ -199,6 +199,12 @@ class XApp:
     counted by type in ``unexpected_frames``; ``late_replies`` counts only
     replies that nobody awaits. A refused subscription raises
     ``SubscriptionRefused``.
+
+    ``start()`` pins the calling thread to the loop CPU before it creates the
+    receive thread, which inherits that CPU (see ``share_loop_cpu``). Requests
+    issued from the thread that called ``start()`` stay on one CPU with both
+    loops, and that thread stays pinned after ``stop()``. A request from any
+    other thread wakes the loops across CPUs.
     """
 
     def __init__(self, channel: Channel, policy: A1IsacPolicy | None = None,
@@ -225,7 +231,6 @@ class XApp:
 
     def _recv_loop(self) -> None:
         """Serve the channel until it closes: ``stop()`` closing it ends the loop."""
-        share_loop_cpu()
         while True:
             try:
                 frame = self.channel.recv()
@@ -255,6 +260,7 @@ class XApp:
                         self.late_replies += 1
 
     def start(self) -> None:
+        share_loop_cpu()
         self._thread = threading.Thread(target=self._recv_loop, name="xapp-recv", daemon=True)
         self._thread.start()
 

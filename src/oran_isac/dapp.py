@@ -32,6 +32,7 @@ from .e2sm import (
     SubEvent,
     SubscriptionMachine,
     SubscriptionMode,
+    SubscriptionResponsePayload,
     SubState,
     TriggerConfig,
     decode_message,
@@ -251,6 +252,14 @@ class SensingDapp:
     ack or a subscription response) by type in ``unexpected_frames``.
     A burst that raises, say on a scene no burst can carry, is counted by kind
     in ``burst_errors`` and closes the subscription; the thread keeps serving.
+    A subscription request the machine refuses, such as a second one while
+    one is active, is answered with ``accepted=False`` and subscription id 0.
+    A slot the loop overran, so that the next burst follows after the short
+    ``_LATE_GAP`` and not on the deadline grid, is counted in ``late_bursts``.
+
+    ``start()`` pins the calling thread to the loop CPU before it creates the
+    worker thread, which inherits that CPU (see ``share_loop_cpu``). The
+    caller stays pinned after ``stop()``.
     """
 
     def __init__(self, config: DappConfig,
@@ -270,6 +279,7 @@ class SensingDapp:
         self.sequence_number = 0
         self.prev_report: SensingReport | None = None
         self.dropped_blocks = 0
+        self.late_bursts = 0
         self.refused_commands = 0
         self.decode_errors: Counter[str] = Counter()
         self.burst_errors: Counter[str] = Counter()
@@ -352,13 +362,19 @@ class SensingDapp:
             return False
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
             result = self.machine.handle_request(msg.payload, msg.correlation_id)
-            if msg.payload.mode == SubscriptionMode.PERIODIC and not result.violation:
+            if result.violation:
+                # Subscription ids start at 1, so 0 names no subscription.
+                self.channel.send(encode_message(E2SensMessage(
+                    MsgType.SUBSCRIPTION_RESPONSE, msg.correlation_id,
+                    SubscriptionResponsePayload(0, accepted=False))))
+                return False
+            if msg.payload.mode == SubscriptionMode.PERIODIC:
                 self.config.report_period_ms = msg.payload.period_ms
-            if msg.payload.mode == SubscriptionMode.EVENT and not result.violation:
+            else:
                 self.trigger = msg.payload.trigger
             for out in result.emitted:
                 self.channel.send(encode_message(out))
-            return not result.violation
+            return True
         if msg.msg_type == MsgType.CONTROL_REQUEST:
             received_at = self.clock.now_ns()
             period = self.config.report_period_ms
@@ -406,7 +422,6 @@ class SensingDapp:
         period. Deadlines are integer nanoseconds of ``self.clock``: a float
         of an epoch-anchored count keeps only about 256 ns of precision.
         """
-        share_loop_cpu()
         next_deadline = self.clock.now_ns() + self._period_ns()
         try:
             while True:
@@ -415,8 +430,11 @@ class SensingDapp:
                     if self.machine.state == SubState.ACTIVE:
                         self._emit()
                     period = self._period_ns()
-                    next_deadline = max(next_deadline + period,
-                                        self.clock.now_ns() + round(_LATE_GAP * period))
+                    next_deadline += period
+                    late = self.clock.now_ns() + round(_LATE_GAP * period)
+                    if late > next_deadline:
+                        next_deadline = late
+                        self.late_bursts += 1
                     continue
                 try:
                     frame = self.channel.recv(timeout=(next_deadline - now) / 1e9)
@@ -432,6 +450,7 @@ class SensingDapp:
             self.machine.step(SubEvent.TRANSPORT_LOST)
 
     def start(self) -> None:
+        share_loop_cpu()
         self._thread = threading.Thread(target=self.run, name="sensing-dapp", daemon=True)
         self._thread.start()
 

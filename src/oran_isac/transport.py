@@ -226,13 +226,19 @@ def send_telemetry(channel: Channel, frame: bytes) -> bool:
 def share_loop_cpu() -> None:
     """Pin the calling thread to the lowest CPU this process may run on.
 
-    A loop thread calls this first. The threads of one interpreter share one
-    GIL, so a second CPU gives them almost no parallelism; what it adds is a
-    wake across CPUs on every hand-off, first of the receiver's socket or
-    condition, then of the GIL. Pinned to the same CPU, a report's hand-off
-    stays on one core. A thread inherits its creator's mask, so every loop of
-    a process lands on the same CPU. Where the platform has no
-    ``sched_setaffinity``, or refuses it, the thread runs unpinned and the
+    ``SensingDapp.start`` and ``XApp.start`` call this before they create
+    their loop thread, which inherits the caller's mask. So the caller's
+    thread, which issues the subscription and every control, and both loops
+    share one CPU. The threads of one interpreter share one GIL, so a second
+    CPU gives them almost no parallelism; what it adds is a wake across CPUs
+    on every hand-off, first of the receiver's socket or condition, then of
+    the GIL. Pinned to the same CPU, a report and a control both stay on one
+    core, and no loop thread migrates while it holds the GIL.
+
+    The caller's thread stays pinned after ``stop()``, and any thread it
+    starts later inherits the mask. Controls issued from some other thread
+    still wake the loops across CPUs. Where the platform has no
+    ``sched_setaffinity``, or refuses it, the threads run unpinned and the
     ``oran_isac.transport`` logger warns once per process.
     """
     if hasattr(os, "sched_setaffinity"):

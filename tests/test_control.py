@@ -407,6 +407,26 @@ def test_a_refused_subscription_raises_and_records_nothing():
     assert xapp.unexpected_replies == {}
 
 
+def test_the_dapp_refuses_a_second_subscription_and_keeps_the_first():
+    dapp, xapp = stack(period_ms=20.0)
+    try:
+        first = xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=20.0)
+        start = time.monotonic()
+        with pytest.raises(SubscriptionRefused):
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0, timeout=5.0)
+        refused_after = time.monotonic() - start
+        xapp.await_report(len(xapp.reports) + 3, timeout=2.0)
+    finally:
+        xapp.stop()
+        dapp.stop()
+    assert refused_after < 1.0
+    assert xapp.subscription_id == first
+    assert xapp.current_period_ms == dapp.config.report_period_ms == 20.0
+    seqs = [r.report.sequence_number for r in xapp.reports]
+    assert seqs == list(range(1, len(seqs) + 1))
+    assert xapp.late_replies == 0 and xapp.unexpected_replies == {}
+
+
 # A request the xApp serves none of, sent to it by its peer.
 REQUESTS_TO_THE_XAPP = {
     "CONTROL_REQUEST": ControlRequestPayload(CommandKind.SET_SIC, issued_at=1),
@@ -452,6 +472,54 @@ def test_loop_threads_share_one_cpu():
         dapp.stop()
     assert [t.name for t in threads] == ["sensing-dapp", "xapp-recv"]
     assert masks[0] == masks[1] == {min(os.sched_getaffinity(0))}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no sched_setaffinity")
+def test_the_starting_thread_shares_the_loop_cpu():
+    masks = {}
+
+    def start_a_stack():
+        # Widen this thread to every CPU the process may use, whatever an
+        # earlier stack left on the thread that runs the tests.
+        os.sched_setaffinity(0, range(os.cpu_count()))
+        dapp, xapp = stack()
+        try:
+            threads = _subscribe_and_await_reports(dapp, xapp)
+            masks.update((t.name, os.sched_getaffinity(t.native_id)) for t in threads)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        masks["caller"] = os.sched_getaffinity(0)
+
+    caller = threading.Thread(target=start_a_stack)
+    caller.start()
+    caller.join(10.0)
+    assert not caller.is_alive()
+    assert len(masks["caller"]) == 1
+    assert masks == dict.fromkeys(("sensing-dapp", "xapp-recv", "caller"), masks["caller"])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no sched_setaffinity")
+def test_no_loop_thread_pins_itself(monkeypatch):
+    """A loop thread that pins itself migrates while it holds the GIL and stalls start-up."""
+    pinned_by = []
+    setaffinity = os.sched_setaffinity
+
+    def recording(pid, mask):
+        pinned_by.append(threading.current_thread().name)
+        setaffinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    dapp, xapp = stack()
+    try:
+        _subscribe_and_await_reports(dapp, xapp)
+    finally:
+        xapp.stop()
+        dapp.stop()
+    assert pinned_by
+    assert not {"sensing-dapp", "xapp-recv"} & set(pinned_by)
 
 
 def test_loops_run_unpinned_where_pinning_is_refused(monkeypatch, caplog):

@@ -395,6 +395,8 @@ class TestRunLoop:
         assert len(inter) >= 20
         assert np.median(inter) < 20.0
         assert not dapp.config.sic_enabled
+        # Each burst overran its slot; the one cut by stop() may go either way.
+        assert abs(dapp.late_bursts - len(xapp.reports)) <= 1
 
     def test_refused_commands_are_counted_and_the_loop_keeps_serving(self):
         dapp, xapp = small_stack(period_ms=10.0)
