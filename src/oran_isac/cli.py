@@ -58,25 +58,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--transport", type=EndpointKind, metavar="{inproc,tcp}")
         p.add_argument("--config", type=_flag(load_config, Path), default=ExperimentConfig(),
                        help="JSON experiment configuration")
         p.add_argument("--out", dest="out_dir", type=Path, default=Path("results"),
                        help="output directory for CSVs and summary.json")
         p.add_argument("--seed", type=_flag(CONFIG_FIELDS["seed"], int),
                        help="seed of the scene: probe pattern and noise")
-        p.add_argument("--duration-s", dest="segment_duration_s",
-                       type=_flag(CONFIG_FIELDS["segment_duration_s"]),
-                       help="per-segment duration of exp-a, in seconds")
 
     a = sub.add_parser("exp-a", help="periodicity control experiment")
     common(a)
+    a.add_argument("--transport", type=EndpointKind, metavar="{inproc,tcp}")
+    a.add_argument("--duration-s", dest="segment_duration_s",
+                   type=_flag(CONFIG_FIELDS["segment_duration_s"]),
+                   help="per-segment duration, in seconds")
     a.add_argument("--schedule", dest="schedule_ms",
                    type=_flag(CONFIG_FIELDS["schedule_ms"], _floats),
                    help="comma-separated reporting periods in ms")
 
     b = sub.add_parser("exp-b", help="closed-loop latency experiment")
     common(b)
+    b.add_argument("--transport", type=EndpointKind, metavar="{inproc,tcp}")
     b.add_argument("--probes", dest="num_probes", type=_flag(CONFIG_FIELDS["num_probes"], int))
     b.add_argument("--period-ms", dest="probe_period_ms",
                    type=_flag(CONFIG_FIELDS["probe_period_ms"]))

@@ -32,7 +32,6 @@ from .e2sm import (
     SubEvent,
     SubscriptionMachine,
     SubscriptionMode,
-    SubscriptionResponsePayload,
     SubState,
     TriggerConfig,
     decode_message,
@@ -252,8 +251,8 @@ class SensingDapp:
     ack or a subscription response) by type in ``unexpected_frames``.
     A burst that raises, say on a scene no burst can carry, is counted by kind
     in ``burst_errors`` and closes the subscription; the thread keeps serving.
-    A subscription request the machine refuses, such as a second one while
-    one is active, is answered with ``accepted=False`` and subscription id 0.
+    Every subscription request gets the machine's answer; a refused one, such
+    as a second one while one is active, gets ``accepted=False`` and id 0.
     A slot the loop overran, so that the next burst follows after the short
     ``_LATE_GAP`` and not on the deadline grid, is counted in ``late_bursts``.
 
@@ -362,19 +361,14 @@ class SensingDapp:
             return False
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
             result = self.machine.handle_request(msg.payload, msg.correlation_id)
-            if result.violation:
-                # Subscription ids start at 1, so 0 names no subscription.
-                self.channel.send(encode_message(E2SensMessage(
-                    MsgType.SUBSCRIPTION_RESPONSE, msg.correlation_id,
-                    SubscriptionResponsePayload(0, accepted=False))))
-                return False
-            if msg.payload.mode == SubscriptionMode.PERIODIC:
-                self.config.report_period_ms = msg.payload.period_ms
-            else:
-                self.trigger = msg.payload.trigger
+            if not result.violation:
+                if msg.payload.mode == SubscriptionMode.PERIODIC:
+                    self.config.report_period_ms = msg.payload.period_ms
+                else:
+                    self.trigger = msg.payload.trigger
             for out in result.emitted:
                 self.channel.send(encode_message(out))
-            return True
+            return not result.violation
         if msg.msg_type == MsgType.CONTROL_REQUEST:
             received_at = self.clock.now_ns()
             period = self.config.report_period_ms
@@ -391,7 +385,6 @@ class SensingDapp:
     # -- run loop -----------------------------------------------------------
 
     def _emit(self) -> None:
-        sub = self.machine.subscription
         try:
             report = self.sense_once()
         except Exception as e:
@@ -399,12 +392,13 @@ class SensingDapp:
             _log.exception("burst %d failed; subscription closed", self.sequence_number + 1)
             self.machine.step(SubEvent.CLOSE)
             return
-        if sub.mode == SubscriptionMode.EVENT:
+        if self.machine.mode == SubscriptionMode.EVENT:
             if not evaluate_triggers(report, self.prev_report, self.trigger):
                 self.prev_report = report
                 return
         report = report._replace(t0=self.clock.now_ns())
-        frame = encode_message(E2SensMessage(MsgType.INDICATION, sub.subscription_id, report))
+        frame = encode_message(E2SensMessage(
+            MsgType.INDICATION, self.machine.subscription_id, report))
         if not send_telemetry(self.channel, frame):
             self.dropped_blocks += 1
         self.prev_report = report

@@ -293,11 +293,17 @@ class SubEvent(enum.Enum):
     TRANSPORT_LOST = "TRANSPORT_LOST"
 
 
-@dataclass
-class Subscription:
-    subscription_id: int
-    mode: SubscriptionMode
-    state: SubState = SubState.PENDING
+# Each legal (state, event) pair and the state it leads to. A pair missing
+# here is a protocol violation that leaves the state as it is.
+_TRANSITIONS = {
+    (SubState.IDLE, SubEvent.REQUEST_RECEIVED): SubState.PENDING,
+    (SubState.CLOSED, SubEvent.REQUEST_RECEIVED): SubState.PENDING,
+    (SubState.PENDING, SubEvent.RESPONSE_SENT): SubState.ACTIVE,
+    (SubState.ACTIVE, SubEvent.INDICATION_READY): SubState.ACTIVE,
+    **{(state, event): SubState.CLOSED
+       for state in (SubState.PENDING, SubState.ACTIVE, SubState.CLOSED)
+       for event in (SubEvent.CLOSE, SubEvent.TRANSPORT_LOST)},
+}
 
 
 @dataclass
@@ -312,25 +318,24 @@ MAX_VIOLATION_NOTES = 64
 
 
 class SubscriptionMachine:
-    """dApp-side subscription lifecycle.
+    """dApp-side subscription lifecycle: ``step`` follows ``_TRANSITIONS``.
 
-    Legal transitions: PENDING -> ACTIVE -> CLOSED and PENDING -> CLOSED.
-    Indications are only emitted in ACTIVE; anything else is a protocol
-    violation that leaves the state untouched. The first ``MAX_VIOLATION_NOTES``
-    violations are noted in ``violations`` and any later ones only counted in
-    ``unnoted_violations``, so a peer cannot grow the list. Subscription IDs
-    increase monotonically across the machine's lifetime.
+    A step the table lacks, or a request that is malformed, is a protocol
+    violation: it leaves the state untouched and ``step`` emits nothing, so
+    indications are only emitted in ACTIVE. ``handle_request`` answers every
+    request, a refused one with ``accepted=False`` and subscription id 0. The
+    first ``MAX_VIOLATION_NOTES`` violations are noted in ``violations`` and
+    any later ones only counted in ``unnoted_violations``, so a peer cannot
+    grow the list. ``subscription_id`` is 0 before the first accept, and each
+    accept takes the next id: 1, 2, ...
     """
 
     def __init__(self) -> None:
-        self._next_id = 1
-        self.subscription: Subscription | None = None
+        self.state = SubState.IDLE
+        self.subscription_id = 0
+        self.mode: SubscriptionMode | None = None
         self.violations: list[str] = []
         self.unnoted_violations = 0
-
-    @property
-    def state(self) -> SubState:
-        return self.subscription.state if self.subscription else SubState.IDLE
 
     def _violate(self, event: SubEvent) -> StepResult:
         note = f"{event.value} in {self.state.value}"
@@ -344,52 +349,36 @@ class SubscriptionMachine:
              request: SubscriptionRequestPayload | None = None,
              correlation_id: int = 0,
              report: SensingReport | None = None) -> StepResult:
-        state = self.state
-
+        next_state = _TRANSITIONS.get((self.state, event))
+        if next_state is None:
+            return self._violate(event)
+        emitted = []
         if event == SubEvent.REQUEST_RECEIVED:
-            if state in (SubState.PENDING, SubState.ACTIVE):
-                return self._violate(event)
             if request is None:
                 raise ValueError("REQUEST_RECEIVED needs the request payload")
-            if request.mode == SubscriptionMode.PERIODIC and not valid_period(request.period_ms):
+            malformed = (request.trigger.empty if request.mode == SubscriptionMode.EVENT
+                         else not valid_period(request.period_ms))
+            if malformed:
                 return self._violate(event)
-            if request.mode == SubscriptionMode.EVENT and request.trigger.empty:
-                return self._violate(event)
-            sub = Subscription(subscription_id=self._next_id, mode=request.mode)
-            self._next_id += 1
-            self.subscription = sub
-            response = E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, correlation_id,
-                                     SubscriptionResponsePayload(sub.subscription_id))
-            return StepResult(sub.state, emitted=[response])
-
-        if event == SubEvent.RESPONSE_SENT:
-            if state != SubState.PENDING:
-                return self._violate(event)
-            self.subscription.state = SubState.ACTIVE
-            return StepResult(SubState.ACTIVE)
-
-        if event == SubEvent.INDICATION_READY:
-            if state != SubState.ACTIVE:
-                return self._violate(event)
+            self.subscription_id += 1
+            self.mode = request.mode
+            emitted = [E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, correlation_id,
+                                     SubscriptionResponsePayload(self.subscription_id))]
+        elif event == SubEvent.INDICATION_READY:
             if report is None:
                 raise ValueError("INDICATION_READY needs the report")
-            ind = E2SensMessage(MsgType.INDICATION, self.subscription.subscription_id, report)
-            return StepResult(SubState.ACTIVE, emitted=[ind])
-
-        # CLOSE / TRANSPORT_LOST
-        if state in (SubState.PENDING, SubState.ACTIVE):
-            self.subscription.state = SubState.CLOSED
-            return StepResult(SubState.CLOSED)
-        if state == SubState.CLOSED:
-            return StepResult(SubState.CLOSED)
-        return self._violate(event)
+            emitted = [E2SensMessage(MsgType.INDICATION, self.subscription_id, report)]
+        self.state = next_state
+        return StepResult(next_state, emitted)
 
     def handle_request(self, request: SubscriptionRequestPayload,
                        correlation_id: int) -> StepResult:
-        """Accept a request and activate in one go: response emitted, ACTIVE."""
+        """Answer a request: accepted and ACTIVE, or refused with the state unchanged."""
         res = self.step(SubEvent.REQUEST_RECEIVED, request=request,
                         correlation_id=correlation_id)
         if res.violation:
-            return res
-        act = self.step(SubEvent.RESPONSE_SENT)
-        return StepResult(act.state, emitted=res.emitted)
+            res.emitted.append(E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, correlation_id,
+                                             SubscriptionResponsePayload(0, accepted=False)))
+        else:
+            res.state = self.step(SubEvent.RESPONSE_SENT).state
+        return res

@@ -30,7 +30,10 @@ from .dapp import DappConfig, SensingDapp, evaluate_triggers
 from .e2sm import MAX_PERIOD_MS, SubscriptionMode, TriggerConfig, valid_period
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
 # SceneParseError is imported for callers: load_config raises it.
-from .radio import EchoScene, SceneParseError, Target, beam_gain, scene_from_dict
+from .radio import (
+    DelayExceedsBurst, EchoScene, SceneParseError, Target, beam_gain, check_targets_fit,
+    scene_from_dict,
+)
 from .schema import (
     checked, json_float, json_int, json_list, json_str, load_json, read_document,
 )
@@ -152,6 +155,11 @@ class _Stack:
 
 
 def _build_stack(cfg: ExperimentConfig, clock: SharedClock, period_ms: float) -> _Stack:
+    """Start a dApp and an xApp on one channel pair; a scene no burst can carry starts none."""
+    try:
+        check_targets_fit(cfg.scene.targets, cfg.waveform)
+    except DelayExceedsBurst as e:
+        raise SetupFailure(f"scene does not fit the burst: {e}") from e
     try:
         dapp_end, xapp_end = channel_pair(cfg.transport)
     except OSError as e:

@@ -138,9 +138,20 @@ class SceneEcho:
     truth: GroundTruth
 
 
+def check_targets_fit(targets: tuple[Target, ...], cfg: WaveformConfig) -> None:
+    """Raise ``DelayExceedsBurst`` for the first target whose echo outlasts the burst."""
+    for t in targets:
+        if t.delay_s >= cfg.burst_duration:
+            raise DelayExceedsBurst(
+                f"target at {t.range_m} m: delay {t.delay_s:.3e} s >= burst "
+                f"{cfg.burst_duration:.3e} s"
+            )
+
+
 def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
                beam: int, beam_table: BeamTable) -> SceneEcho:
     """Propagate the probe through the scene's targets on one beam, without noise."""
+    check_targets_fit(scene.targets, cfg)
     fs = cfg.sample_rate
     beam_az, _ = beam_table.direction(beam)
 
@@ -150,11 +161,6 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     echo_powers = []
     for t in scene.targets:
         delay = t.delay_s
-        if delay >= cfg.burst_duration:
-            raise DelayExceedsBurst(
-                f"target at {t.range_m} m: delay {delay:.3e} s >= burst "
-                f"{cfg.burst_duration:.3e} s"
-            )
         doppler = t.doppler_hz(cfg.carrier_frequency)
         power = t.amplitude * beam_gain(t.azimuth_deg, beam_az)
         echo = _fractional_delay(probe, delay * fs)

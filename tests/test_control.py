@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import sys
 import threading
@@ -64,6 +65,12 @@ class TestPolicy:
         policy = A1IsacPolicy(geographic_scope=((-45.0, 45.0),))
         assert check_beam(policy, 90.0).verdict == Verdict.REJECT
         assert check_beam(policy, 0.0).verdict == Verdict.ACCEPT
+
+    def test_a_beam_on_a_sector_edge_is_in_scope(self):
+        policy = A1IsacPolicy(geographic_scope=((-45.0, 45.0),))
+        assert policy.azimuth_in_scope(-45.0) and policy.azimuth_in_scope(45.0)
+        assert not policy.azimuth_in_scope(math.nextafter(45.0, 90.0))
+        assert not policy.azimuth_in_scope(math.nextafter(-45.0, -90.0))
 
     def test_empty_event_trigger_rejected(self):
         req = SubscriptionRequestPayload(SubscriptionMode.EVENT)

@@ -283,6 +283,34 @@ class TestSubscriptionMachine:
         assert res.violation is not None
         assert m.state == SubState.ACTIVE
 
+    @pytest.mark.parametrize("prep, request_", [
+        (lambda m: m.handle_request(PERIODIC, 1), PERIODIC),
+        (lambda m: m.step(SubEvent.REQUEST_RECEIVED, request=PERIODIC), EVENT),
+        (lambda m: None, SubscriptionRequestPayload(SubscriptionMode.PERIODIC)),
+        (lambda m: None, SubscriptionRequestPayload(SubscriptionMode.EVENT)),
+        (lambda m: (m.handle_request(PERIODIC, 1), m.step(SubEvent.CLOSE)),
+         SubscriptionRequestPayload(SubscriptionMode.PERIODIC, period_ms=0.0)),
+    ], ids=["duplicate-in-active", "duplicate-in-pending", "period-0", "empty-trigger",
+            "period-0-after-close"])
+    def test_a_refused_request_is_answered_once(self, prep, request_):
+        m = fresh_machine()
+        prep(m)
+        state, sid = m.state, m.subscription_id
+        res = m.handle_request(request_, correlation_id=77)
+        assert res.emitted == [E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, 77,
+                                             SubscriptionResponsePayload(0, accepted=False))]
+        assert res.violation is not None
+        assert m.violations == [res.violation]
+        assert (res.state, m.state, m.subscription_id) == (state, state, sid)
+
+    def test_ids_run_from_one_and_zero_names_none(self):
+        m = fresh_machine()
+        assert m.subscription_id == 0
+        for expected in (1, 2, 3):
+            res = m.handle_request(PERIODIC, expected)
+            assert res.emitted[0].payload == SubscriptionResponsePayload(expected)
+            m.step(SubEvent.CLOSE)
+
     def test_violation_notes_are_bounded(self):
         m = fresh_machine()
         m.handle_request(PERIODIC, 1)

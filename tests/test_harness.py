@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from oran_isac.harness import (
     run_experiment_b,
     run_sensing_accuracy,
 )
-from oran_isac.radio import load_scene
+from oran_isac.radio import SPEED_OF_LIGHT, EchoScene, Target, load_scene
 from oran_isac.transport import EndpointKind, channel_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -244,6 +246,20 @@ class TestExperimentB:
         assert summary.sample_count == 10
         assert summary.metadata["transport"] == "tcp"
 
+    @pytest.mark.parametrize("run", [run_experiment_a, run_experiment_b])
+    @pytest.mark.parametrize("range_m", [
+        8000.0, default_waveform().burst_duration * SPEED_OF_LIGHT / 2.0,
+    ], ids=["far", "one-burst-away"])
+    def test_a_scene_no_burst_can_carry_starts_no_thread(self, run, range_m):
+        cfg = small_config(num_probes=5,
+                           scene=EchoScene(targets=(Target(range_m),), snr_db=20.0))
+        threads = threading.active_count()
+        start = time.monotonic()
+        with pytest.raises(SetupFailure, match=f"target at {range_m} m"):
+            run(cfg)
+        assert time.monotonic() - start < 1.0
+        assert threading.active_count() == threads
+
 
 class TestSensingAccuracy:
     def test_smoke_run_scores_against_truth(self, tmp_path):
@@ -328,6 +344,17 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metadata"]["schedule_ms"] == [40.0, 20.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["sense", "--transport", "tcp"],
+        ["sense", "--duration-s", "3"],
+        ["exp-b", "--duration-s", "3"],
+    ], ids=["sense-transport", "sense-duration", "exp-b-duration"])
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, argv):
+        from oran_isac.cli import _build_parser
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser().parse_args(argv)
+        assert exit_.value.code == 2
 
     def test_config_file_values_are_honoured(self, tmp_path, capsys):
         from oran_isac.cli import main

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oran_isac.harness import default_waveform
 from oran_isac.ofh import BeamTable, WaveformConfig
 from oran_isac.radio import (
     SPEED_OF_LIGHT,
@@ -13,8 +14,10 @@ from oran_isac.radio import (
     Target,
     apply_scene,
     beam_gain,
+    check_targets_fit,
     SceneParseError,
     generate_probe,
+    scene_echo,
     load_scene,
     scene_from_dict,
 )
@@ -132,6 +135,28 @@ class TestApplyScene:
         rng = cfg.burst_duration * SPEED_OF_LIGHT  # delay = 2x burst
         with pytest.raises(DelayExceedsBurst):
             apply_scene(probe, cfg, EchoScene(targets=(Target(rng, 0, 0),)), 0, BEAMS)
+
+    def test_a_target_exactly_one_burst_away_is_refused(self):
+        cfg = default_waveform()
+        edge = cfg.burst_duration * SPEED_OF_LIGHT / 2.0
+        assert Target(edge).delay_s == cfg.burst_duration
+        below = math.nextafter(edge, 0.0)
+        assert Target(below).delay_s < cfg.burst_duration
+        _, probe = generate_probe(cfg)
+        with pytest.raises(DelayExceedsBurst, match=f"target at {edge} m"):
+            check_targets_fit((Target(below), Target(edge)), cfg)
+        with pytest.raises(DelayExceedsBurst):
+            scene_echo(probe, cfg, EchoScene(targets=(Target(edge),)), 0, BEAMS)
+        echo = scene_echo(probe, cfg, EchoScene(targets=(Target(below),)), 0, BEAMS)
+        assert echo.truth.delays_s == (Target(below).delay_s,)
+
+    def test_a_target_at_range_zero_is_accepted(self):
+        cfg = make_cfg()
+        _, probe = generate_probe(cfg)
+        _, truth = apply_scene(probe, cfg, EchoScene(targets=(Target(0.0),)), 0, BEAMS)
+        assert truth.delays_s == (0.0,)
+        with pytest.raises(ValueError):
+            Target(-1e-9)
 
     def test_deterministic_blocks(self):
         cfg = make_cfg()
