@@ -1,61 +1,31 @@
-"""Closed-loop control demo: subscribe, walk the period, and measure the loop.
+"""Closed-loop control demo: walk the reporting period, then measure the loop.
 
-Brings up the full stack (simulator, sensing dApp, transport, control xApp),
-subscribes to periodic reports, walks the reporting period down the schedule
-100 -> 20 -> 10 ms, and decomposes the closed-loop latency of paired
-telemetry and control probes.
+Runs the harness's two live experiments under the A1 policy in
+configs/policy.json: the period schedule 100 -> 20 -> 10 ms, one second a
+segment, then 300 paired telemetry and control probes at 10 ms.
 """
 
-from oran_isac.clock import SharedClock
-from oran_isac.control import XApp, load_policy
-from oran_isac.dapp import DappConfig, SensingDapp
-from oran_isac.e2sm import SubscriptionMode
-from oran_isac.harness import default_beam_table, default_waveform
-from oran_isac.radio import EchoScene, Target
-from oran_isac.stats import compliance_table, percentile
-from oran_isac.transport import channel_pair
+from oran_isac.control import load_policy
+from oran_isac.harness import ExperimentConfig, run_experiment_a, run_experiment_b
 
 
 def main() -> None:
-    clock = SharedClock()
-    scene = EchoScene(targets=(Target(45.0, 10.0, 0.0),), snr_db=20.0,
-                      residual_si_power_db=-20.0)
-    dapp_end, xapp_end = channel_pair()
-    dapp = SensingDapp(DappConfig(report_period_ms=100.0),
-                       {0: default_waveform()}, default_beam_table(),
-                       scene, dapp_end, clock)
-    policy = load_policy("configs/policy.json")
-    xapp = XApp(xapp_end, policy=policy, clock=clock)
-    dapp.start()
-    xapp.start()
-    try:
-        sid = xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=100.0)
-        print(f"subscription {sid} active under policy '{policy.policy_id}'")
+    cfg = ExperimentConfig(schedule_ms=(100.0, 20.0, 10.0), segment_duration_s=1.0,
+                           probe_period_ms=10.0, num_probes=300,
+                           policy=load_policy("configs/policy.json"))
+    print(f"period schedule under policy '{cfg.policy.policy_id}':")
+    for seg in run_experiment_a(cfg).segments:
+        print(f"  target {seg.target_ms:5.0f} ms  mean {seg.mean_ms:6.2f} ms  "
+              f"p95 jitter {seg.p95_jitter_ms:5.2f} ms  ({seg.count} intervals)")
 
-        for period in (20.0, 10.0):
-            sample = xapp.set_period(period)
-            print(f"period -> {period:.0f} ms "
-                  f"(control latency {sample.control_latency_ns / 1e6:.2f} ms)")
-
-        print("\nrunning 300 closed-loop probes at 10 ms ...")
-        for _ in range(300):
-            xapp.closed_loop_probe()
-
-        telemetry = [s.telemetry_latency_ns / 1e6 for s in xapp.samples]
-        control = [s.control_latency_ns / 1e6 for s in xapp.samples]
-        closed = [s.closed_loop_ns / 1e6 for s in xapp.samples]
-        print(f"telemetry  p50 {percentile(telemetry, 50):6.2f} ms  "
-              f"p95 {percentile(telemetry, 95):6.2f} ms")
-        print(f"control    p50 {percentile(control, 50):6.2f} ms  "
-              f"p95 {percentile(control, 95):6.2f} ms")
-        print(f"closed     p50 {percentile(closed, 50):6.2f} ms  "
-              f"p95 {percentile(closed, 95):6.2f} ms")
-        print("\nuse-case compliance (fraction of loops under budget):")
-        for name, frac in compliance_table(closed).items():
-            print(f"  {name:22s} {frac:6.1%}")
-    finally:
-        xapp.stop()
-        dapp.stop()
+    print(f"\nrunning {cfg.num_probes} closed-loop probes at {cfg.probe_period_ms:.0f} ms ...")
+    loop = run_experiment_b(cfg)
+    for name, pct in (("telemetry", loop.telemetry_ms), ("control", loop.control_ms),
+                      ("closed", loop.closed_loop_ms)):
+        print(f"{name:10s} p50 {pct['p50']:6.2f} ms  p95 {pct['p95']:6.2f} ms")
+    print("\nuse-case compliance (fraction of loops under budget):")
+    for name, frac in loop.compliance.items():
+        print(f"  {name:22s} {frac:6.1%}")
 
 
 if __name__ == "__main__":

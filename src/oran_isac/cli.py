@@ -14,11 +14,12 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .control import PolicyParseError
+from .control import ControlError, PolicyParseError
 from .harness import (
     CONFIG_FIELDS,
     ConfigParseError,
     ExperimentConfig,
+    SetupFailure,
     load_config,
     run_experiment_a,
     run_experiment_b,
@@ -104,15 +105,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: exit code 0, 1 for a run the stack refuses, 2 for bad arguments.
+
+    A refused run prints one line on stderr, ``oran-isac <command>: <reason>``.
+    """
     args = _build_parser().parse_args(argv)
     cfg = _config_from_args(args)
-
-    if args.command == "exp-a":
-        result = run_experiment_a(cfg)
-    elif args.command == "exp-b":
-        result = run_experiment_b(cfg)
-    else:
-        result = run_sensing_accuracy(cfg)
+    run = {"exp-a": run_experiment_a, "exp-b": run_experiment_b}.get(
+        args.command, run_sensing_accuracy)
+    try:
+        result = run(cfg)
+    except (SetupFailure, ControlError) as e:
+        print(f"oran-isac {args.command}: {e}", file=sys.stderr)
+        return 1
     print(json.dumps(result.to_dict(), indent=2))
     return 0
 

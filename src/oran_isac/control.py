@@ -326,46 +326,34 @@ class XApp:
             self.current_period_ms = period_ms
         return self.subscription_id
 
-    def _send_control(self, payload: ControlRequestPayload,
-                      timeout: float) -> ControlAckPayload:
-        return self._request(MsgType.CONTROL_REQUEST, payload, timeout)
+    def _command(self, kind: CommandKind, timeout: float,
+                 **value) -> tuple[int, ControlAckPayload]:
+        """Stamp, build and send one command; returns its issue stamp and its ack."""
+        issued = self.clock.now_ns()
+        ack = self._request(MsgType.CONTROL_REQUEST,
+                            ControlRequestPayload(kind, issued, **value), timeout)
+        return issued, ack
 
     def set_period(self, period_ms: float, timeout: float = 5.0) -> LatencySample:
         """Change the reporting period; returns the control-latency sample."""
-        # The policy judges a period change as it judges a periodic
-        # subscription at that period. Checking that request lets the command
-        # be built once, with an issue stamp that leaves the check out.
-        self._enforce(SubscriptionRequestPayload(SubscriptionMode.PERIODIC, period_ms=period_ms))
-        issued = self.clock.now_ns()
-        ack = self._send_control(ControlRequestPayload(
-            CommandKind.SET_PERIOD, issued_at=issued, period_ms=period_ms), timeout)
+        # Judged unstamped, so the issue stamp leaves the check out.
+        self._enforce(ControlRequestPayload(CommandKind.SET_PERIOD, 0, period_ms=period_ms))
+        issued, ack = self._command(CommandKind.SET_PERIOD, timeout, period_ms=period_ms)
         self.current_period_ms = period_ms
-        return LatencySample(
-            sequence_number=-1, t0_ns=issued, t1_ns=issued,
-            t_cmd_issue_ns=issued, t_cmd_applied_ns=ack.applied_at,
-        )
+        return LatencySample(-1, issued, issued, issued, ack.applied_at)
 
     def set_beam(self, beam_index: int, beam_azimuth_deg: float,
                  timeout: float = 5.0) -> ControlAckPayload:
         decision = check_beam(self.policy, beam_azimuth_deg)
         if decision.verdict == Verdict.REJECT:
             raise PolicyViolation(decision.reason)
-        cmd = ControlRequestPayload(CommandKind.SET_BEAM,
-                                    issued_at=self.clock.now_ns(),
-                                    beam_index=beam_index)
-        return self._send_control(cmd, timeout)
+        return self._command(CommandKind.SET_BEAM, timeout, beam_index=beam_index)[1]
 
     def set_sic(self, enabled: bool, timeout: float = 5.0) -> ControlAckPayload:
-        cmd = ControlRequestPayload(CommandKind.SET_SIC,
-                                    issued_at=self.clock.now_ns(),
-                                    sic_enabled=enabled)
-        return self._send_control(cmd, timeout)
+        return self._command(CommandKind.SET_SIC, timeout, sic_enabled=enabled)[1]
 
     def set_trigger(self, trigger: TriggerConfig, timeout: float = 5.0) -> ControlAckPayload:
-        cmd = ControlRequestPayload(CommandKind.SET_TRIGGER,
-                                    issued_at=self.clock.now_ns(),
-                                    trigger=trigger)
-        return self._send_control(cmd, timeout)
+        return self._command(CommandKind.SET_TRIGGER, timeout, trigger=trigger)[1]
 
     def await_report(self, after_index: int, timeout: float = 5.0) -> ReceivedReport:
         """Block until a report beyond the given index arrives."""
@@ -383,18 +371,10 @@ class XApp:
         """
         if self.current_period_ms is None:
             raise ControlError("closed-loop probe needs an active periodic subscription")
-        idx = len(self.reports)
-        received = self.await_report(idx, timeout)
-        issue = self.clock.now_ns()
-        cmd = ControlRequestPayload(CommandKind.SET_PERIOD, issued_at=issue,
-                                    period_ms=self.current_period_ms)
-        ack = self._send_control(cmd, timeout)
-        sample = LatencySample(
-            sequence_number=received.report.sequence_number,
-            t0_ns=received.report.t0,
-            t1_ns=received.t1_ns,
-            t_cmd_issue_ns=issue,
-            t_cmd_applied_ns=ack.applied_at,
-        )
+        received = self.await_report(len(self.reports), timeout)
+        issue, ack = self._command(CommandKind.SET_PERIOD, timeout,
+                                   period_ms=self.current_period_ms)
+        sample = LatencySample(received.report.sequence_number, received.report.t0,
+                               received.t1_ns, issue, ack.applied_at)
         self.samples.append(sample)
         return sample

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -144,18 +146,14 @@ def _write_run(out_dir: Path | None, summary: dict, tables: dict[str, list[str]]
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
-@dataclass
-class _Stack:
-    dapp: SensingDapp
-    xapp: XApp
+@contextmanager
+def _subscribed_stack(cfg: ExperimentConfig,
+                      period_ms: float) -> Iterator[tuple[SensingDapp, XApp, SharedClock]]:
+    """Run a dApp and an xApp on one channel pair and clock, subscribed at ``period_ms``.
 
-    def shutdown(self) -> None:
-        self.xapp.stop()
-        self.dapp.stop()
-
-
-def _build_stack(cfg: ExperimentConfig, clock: SharedClock, period_ms: float) -> _Stack:
-    """Start a dApp and an xApp on one channel pair; a scene no burst can carry starts none."""
+    Yields ``(dapp, xapp, clock)``. The xApp, then the dApp, stop on the way
+    out, a refused subscribe too. A scene no burst can carry starts nothing.
+    """
     try:
         check_targets_fit(cfg.scene.targets, cfg.waveform)
     except DelayExceedsBurst as e:
@@ -164,39 +162,33 @@ def _build_stack(cfg: ExperimentConfig, clock: SharedClock, period_ms: float) ->
         dapp_end, xapp_end = channel_pair(cfg.transport)
     except OSError as e:
         raise SetupFailure(f"transport setup failed: {e}") from e
-    dapp = SensingDapp(
-        config=DappConfig(report_period_ms=period_ms),
-        waveform_table={0: cfg.waveform},
-        beam_table=default_beam_table(),
-        scene=cfg.scene,
-        channel=dapp_end,
-        clock=clock,
-    )
+    clock = SharedClock()
+    dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg.waveform},
+                       default_beam_table(), cfg.scene, dapp_end, clock)
     xapp = XApp(xapp_end, policy=cfg.policy, clock=clock)
     dapp.start()
     xapp.start()
-    return _Stack(dapp, xapp)
+    try:
+        xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=period_ms)
+        yield dapp, xapp, clock
+    finally:
+        xapp.stop()
+        dapp.stop()
 
 
 def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
     """Periodicity control: execute the period schedule and score each segment."""
     if not cfg.schedule_ms:
         raise SetupFailure("empty period schedule")
-    clock = SharedClock()
-    stack = _build_stack(cfg, clock, cfg.schedule_ms[0])
-    boundaries: list[tuple[int, float]] = []  # (clock ns, target period)
-    try:
-        stack.xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=cfg.schedule_ms[0])
-        boundaries.append((clock.now_ns(), cfg.schedule_ms[0]))
+    with _subscribed_stack(cfg, cfg.schedule_ms[0]) as (dapp, xapp, clock):
+        boundaries = [(clock.now_ns(), cfg.schedule_ms[0])]  # (clock ns, target period)
         for target in cfg.schedule_ms[1:]:
             time.sleep(cfg.segment_duration_s)
-            stack.xapp.set_period(target)
+            xapp.set_period(target)
             boundaries.append((clock.now_ns(), target))
         time.sleep(cfg.segment_duration_s)
-        reports = list(stack.xapp.reports)
-        drops = stack.dapp.channel.drops + stack.dapp.dropped_blocks
-    finally:
-        stack.shutdown()
+        reports = list(xapp.reports)
+        drops = dapp.channel.drops + dapp.dropped_blocks
 
     if len(reports) < 3:
         raise SetupFailure("too few reports collected")
@@ -255,16 +247,9 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
     current value. The refresh leaves the report schedule alone, so
     ``num_probes`` probes take about ``num_probes * probe_period_ms``.
     """
-    clock = SharedClock()
-    stack = _build_stack(cfg, clock, cfg.probe_period_ms)
-    try:
-        stack.xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=cfg.probe_period_ms)
-        for _ in range(cfg.num_probes):
-            stack.xapp.closed_loop_probe()
-        samples = list(stack.xapp.samples)
-        drops = stack.dapp.channel.drops + stack.dapp.dropped_blocks
-    finally:
-        stack.shutdown()
+    with _subscribed_stack(cfg, cfg.probe_period_ms) as (dapp, xapp, _):
+        samples = [xapp.closed_loop_probe() for _ in range(cfg.num_probes)]
+        drops = dapp.channel.drops + dapp.dropped_blocks
 
     telemetry = [s.telemetry_latency_ns / 1e6 for s in samples]
     control = [s.control_latency_ns / 1e6 for s in samples]

@@ -192,6 +192,26 @@ class TestEstimateKpis:
             rep = estimate_kpis(delay_doppler_map(block, cfg, grid), cfg, BEAMS, 0)
             assert 0.0 <= rep.confidence <= 1.0
 
+    def test_peak_on_the_nyquist_bin_reads_positive(self):
+        cfg = make_cfg()
+        pm = np.zeros((256, cfg.num_symbols))
+        half = cfg.num_symbols // 2
+        pm[10, half] = 1.0
+        pm[10, half - 1] = pm[10, half + 1] = 0.5    # equal neighbours: no sub-bin offset
+        rep = estimate_kpis(pm, cfg, BEAMS, 0)
+        doppler_bin = 1.0 / (cfg.num_symbols * cfg.symbol_duration)
+        assert rep.doppler_hz == pytest.approx(half * doppler_bin)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["delay", "doppler"])
+    def test_a_runner_up_two_bins_away_is_inside_the_guard(self, axis):
+        cfg = make_cfg()
+        pm = np.zeros((256, cfg.num_symbols))
+        pm[100, 4] = 1.0
+        pm[(102, 4) if axis == 0 else (100, 6)] = 0.9
+        pm[150, 12] = 0.8
+        rep = estimate_kpis(pm, cfg, BEAMS, 0)
+        assert rep.confidence == pytest.approx(1.0 / 0.8 - 1.0)
+
 
 class TestIndicators:
     def test_uniform_entropy_is_log_b(self):
@@ -210,6 +230,12 @@ class TestIndicators:
         pdp[20] = 1.0
         spread = multipath_spread(pdp, bin_width_s=10e-9)
         assert spread == pytest.approx(5 * 10e-9, rel=1e-6)
+
+    def test_a_bin_on_the_gate_counts(self):
+        # The median is 1, so the 10 dB gate is exactly 10.0: the second bin is on it.
+        pdp = np.array([100.0, 10.0] + [1.0] * 8)
+        spread = multipath_spread(pdp, bin_width_s=10e-9)
+        assert spread == pytest.approx(10e-9 * math.sqrt(100.0 * 10.0) / 110.0, rel=1e-9)
 
     # Zeros and a few repeated values give ties; the floats span 1e-30 to 1e5.
     @given(values=st.lists(st.one_of(st.sampled_from([0.0, 1e-30, 1.0, 1e5]),
@@ -257,6 +283,18 @@ class TestTriggers:
         trig = TriggerConfig(echo_energy_threshold_db=-10.0)
         assert evaluate_triggers(report_with(-5.0), None, trig) == [ECHO_ENERGY]
 
+    def test_no_prev_on_threshold_does_not_fire(self):
+        trig = TriggerConfig(echo_energy_threshold_db=-10.0)
+        assert evaluate_triggers(report_with(-10.0), None, trig) == []
+
+    # A report on the threshold is below it, on either side of a crossing.
+    @pytest.mark.parametrize("prev, now, fired", [
+        (-20.0, -10.0, []), (-10.0, -5.0, [ECHO_ENERGY]),
+    ], ids=["up-to-threshold", "up-from-threshold"])
+    def test_a_crossing_counts_the_threshold_as_below(self, prev, now, fired):
+        trig = TriggerConfig(echo_energy_threshold_db=-10.0)
+        assert evaluate_triggers(report_with(now), report_with(prev), trig) == fired
+
     def test_aoa_below_threshold(self):
         trig = TriggerConfig(aoa_shift_threshold_deg=5.0)
         assert evaluate_triggers(report_with(azimuth=31.0), report_with(azimuth=30.0), trig) == []
@@ -264,6 +302,10 @@ class TestTriggers:
     def test_aoa_shift_fires(self):
         trig = TriggerConfig(aoa_shift_threshold_deg=5.0)
         assert evaluate_triggers(report_with(azimuth=40.0), report_with(azimuth=30.0), trig) == [AOA_SHIFT]
+
+    def test_aoa_shift_on_threshold_fires(self):
+        trig = TriggerConfig(aoa_shift_threshold_deg=30.0)
+        assert evaluate_triggers(report_with(azimuth=30.0), report_with(azimuth=0.0), trig) == [AOA_SHIFT]
 
     def test_pure_function(self):
         trig = TriggerConfig(echo_energy_threshold_db=-10.0, aoa_shift_threshold_deg=5.0)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -26,6 +29,7 @@ from oran_isac.radio import SPEED_OF_LIGHT, EchoScene, Target, load_scene
 from oran_isac.transport import EndpointKind, channel_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 # SHA-256 over accuracy.csv then summary.json of 200 sensing trials of
 # configs/scene.json. A change to it means the `sense` outputs changed.
@@ -260,6 +264,15 @@ class TestExperimentB:
         assert time.monotonic() - start < 1.0
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("run", [run_experiment_a, run_experiment_b])
+    def test_a_refused_subscribe_stops_both_loops(self, run):
+        # The default policy's floor is 5 ms, so the first subscribe is refused.
+        cfg = small_config(num_probes=5, probe_period_ms=2.0, schedule_ms=(2.0,))
+        threads = threading.active_count()
+        with pytest.raises(PolicyViolation, match="period 2.0 ms outside"):
+            run(cfg)
+        assert threading.active_count() == threads
+
 
 class TestSensingAccuracy:
     def test_smoke_run_scores_against_truth(self, tmp_path):
@@ -344,6 +357,26 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metadata"]["schedule_ms"] == [40.0, 20.0]
+
+    @pytest.mark.parametrize("doc, flags, reason", [
+        ({"num_probes": 5, "probe_period_ms": 10.0,
+          "scene": {"targets": [{"range_m": 8000.0}], "snr_db": 20.0}}, [],
+         "scene does not fit the burst"),
+        ({}, ["--period-ms", "2", "--probes", "5"], "period 2.0 ms outside"),
+    ], ids=["far-scene", "period-below-policy"])
+    def test_a_refused_run_exits_1_with_one_line(self, doc, flags, reason, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        run = subprocess.run([sys.executable, "-m", "oran_isac.cli", "exp-b", "--config", str(path),
+                              *flags, "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines() == [run.stderr.strip()]
+        assert run.stderr.startswith(f"oran-isac exp-b: {reason}")
+        assert run.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sense", "--transport", "tcp"],
