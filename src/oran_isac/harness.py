@@ -163,9 +163,10 @@ def _subscribed_stack(cfg: ExperimentConfig,
     except OSError as e:
         raise SetupFailure(f"transport setup failed: {e}") from e
     clock = SharedClock()
+    beams = default_beam_table()
     dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg.waveform},
-                       default_beam_table(), cfg.scene, dapp_end, clock)
-    xapp = XApp(xapp_end, policy=cfg.policy, clock=clock)
+                       beams, cfg.scene, dapp_end, clock)
+    xapp = XApp(xapp_end, policy=cfg.policy, clock=clock, beam_table=beams)
     dapp.start()
     xapp.start()
     try:

@@ -1,16 +1,19 @@
-"""Synthetic monostatic radio environment.
+"""Synthetic monostatic radio environment: the simulated RU.
 
 Generates the OFDM probing burst for a waveform configuration, then applies a
 target scene to it in two steps. ``scene_echo`` builds the noise-free burst
 seen on one beam: per-target round-trip delay (fractional, frequency-domain),
 two-way Doppler rotation, beam-pattern gain and residual self-interference as
 an attenuated zero-delay copy. It depends on the probe, the scene's targets
-and SI level and the beam, never on the scene's seed, so a caller that senses
-the same scene burst after burst can keep it (the dApp keys it on waveform,
-beam and SIC state). ``apply_scene`` adds white Gaussian noise, calibrated to
-the strongest echo and drawn from the scene's seed, to that echo. Ground
-truth rides along with every block so estimators can be verified against
-exact values.
+and SI level and the beam, never on the scene's seed. ``apply_scene`` adds
+white Gaussian noise, calibrated to the strongest echo and drawn from the
+scene's seed, to that echo. Ground truth rides along with every block so
+estimators can be verified against exact values.
+
+``RadioUnit`` is the one place that decides how a burst is simulated: it holds
+the scene, keeps one echo per waveform, beam and SIC state, raises the SI
+level when SIC is off and seeds each burst's noise. It answers a burst request
+with the block's encoded fronthaul metadata and its samples, as an RU would.
 
 Conventions fixed here and relied on by the estimator:
   delay   = 2 * range / c
@@ -20,13 +23,13 @@ Conventions fixed here and relied on by the estimator:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig
+from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig, encode_metadata
 from .schema import json_float, json_int, json_list, load_json, read_document
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -209,6 +212,35 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     )
     block = IqBlock(metadata=meta, samples=rx)
     return block, echo.truth
+
+
+# Residual self-interference when the canceler is switched off: no
+# suppression, SI as strong as the echo.
+_SIC_OFF_SI_DB = 0.0
+
+
+class RadioUnit:
+    """The simulated RU: one scene seen on the beams of one beam table."""
+
+    def __init__(self, scene: EchoScene, beam_table: BeamTable) -> None:
+        self.scene = scene
+        self.beam_table = beam_table
+        self._echoes: dict[tuple[int, int, bool], SceneEcho] = {}
+
+    def burst(self, probe: np.ndarray, cfg: WaveformConfig, meta: SensingMetadata,
+              sic_enabled: bool, index: int) -> tuple[bytes, np.ndarray]:
+        """Send ``probe`` on ``meta``'s beam; returns the echo's encoded metadata and samples."""
+        scene = replace(self.scene, seed=self.scene.seed + index)
+        if not sic_enabled:
+            scene = replace(scene, residual_si_power_db=max(scene.residual_si_power_db,
+                                                            _SIC_OFF_SI_DB))
+        key = (meta.waveform_id, meta.beam_index, sic_enabled)
+        if key not in self._echoes:
+            self._echoes[key] = scene_echo(probe, cfg, scene, meta.beam_index, self.beam_table)
+        block, _ = apply_scene(probe, cfg, scene, meta.beam_index, self.beam_table,
+                               echo=self._echoes[key], waveform_id=meta.waveform_id,
+                               tx_timestamp=meta.tx_timestamp)
+        return encode_metadata(block.metadata), block.samples
 
 
 _TARGET_FIELDS = dict.fromkeys(

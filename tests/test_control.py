@@ -155,7 +155,7 @@ def stack(policy=POLICY, period_ms=20.0):
     dapp_end, xapp_end = channel_pair()
     dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg}, BEAMS,
                        scene, dapp_end, clock)
-    xapp = XApp(xapp_end, policy=policy, clock=clock)
+    xapp = XApp(xapp_end, policy=policy, clock=clock, beam_table=BEAMS)
     dapp.start()
     xapp.start()
     return dapp, xapp
@@ -165,7 +165,7 @@ def stack(policy=POLICY, period_ms=20.0):
 # default policy lets through and the altered one refuses. "policy_id" names the
 # policy and constrains nothing, so it has no row.
 CONSTRAINT_ROWS = {
-    "geographic_scope": (((-10.0, 10.0),), lambda xapp: xapp.set_beam(1, 15.0)),
+    "geographic_scope": (((-10.0, 10.0),), lambda xapp: xapp.set_beam(1)),
     "min_period_ms": (20.0, lambda xapp: xapp.subscribe(SubscriptionMode.PERIODIC,
                                                         period_ms=10.0)),
     "max_period_ms": (50.0, lambda xapp: xapp.set_period(100.0)),

@@ -48,8 +48,11 @@ from oran_isac.e2sm import (
     encode_message,
     valid_period,
 )
-from oran_isac.control import A1IsacPolicy, RequestTimeout, Verdict, XApp, enforce_policy
-from oran_isac.ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig
+from oran_isac.control import A1IsacPolicy, Verdict, XApp, enforce_policy
+from oran_isac.ofh import (
+    BeamTable, IqBlock, NonZeroPadding, SensingMetadata, UnknownWaveformId, WaveformConfig,
+    encode_metadata,
+)
 from oran_isac.radio import (
     SPEED_OF_LIGHT,
     DelayExceedsBurst,
@@ -313,6 +316,21 @@ class TestTriggers:
         assert evaluate_triggers(a, b, trig) == evaluate_triggers(a, b, trig)
 
 
+class RewrittenHeader:
+    """A substitute RU: the real RU's samples under a header the test chooses."""
+
+    def __init__(self, ru, header):
+        self.ru, self.header = ru, header
+
+    def burst(self, *request):
+        return self.header, self.ru.burst(*request)[1]
+
+
+# The sensing flag with a padding bit set, and a waveform id no table here holds.
+PADDED_HEADER = bytes([0x81]) + bytes(11)
+UNKNOWN_WAVEFORM_HEADER = encode_metadata(SensingMetadata(waveform_id=7, sensing_flag=True))
+
+
 def small_stack(period_ms=10.0, scene=None):
     cfg = make_cfg(fft_size=64, cp_length=16, num_symbols=4)
     scene = scene or EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=20.0)
@@ -320,7 +338,7 @@ def small_stack(period_ms=10.0, scene=None):
     dapp_end, xapp_end = channel_pair()
     dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg}, BEAMS,
                        scene, dapp_end, clock)
-    xapp = XApp(xapp_end, clock=clock)
+    xapp = XApp(xapp_end, clock=clock, beam_table=BEAMS)
     dapp.start()
     xapp.start()
     return dapp, xapp
@@ -385,12 +403,12 @@ class TestRunLoop:
             # The step to beam 1 crosses the old energy threshold, but the new
             # AoA trigger is wider than the step: nothing may fire.
             xapp.set_trigger(TriggerConfig(aoa_shift_threshold_deg=20.0))
-            xapp.set_beam(1, 15.0)
+            xapp.set_beam(1)
             time.sleep(0.3)
             quiet = len(xapp.reports)
             # A narrower AoA trigger fires on the step back.
             xapp.set_trigger(TriggerConfig(aoa_shift_threshold_deg=10.0))
-            xapp.set_beam(0, 0.0)
+            xapp.set_beam(0)
             back = xapp.await_report(quiet, timeout=2.0)
         finally:
             xapp.stop()
@@ -444,9 +462,8 @@ class TestRunLoop:
         dapp, xapp = small_stack(period_ms=10.0)
         try:
             xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
-            with pytest.raises(RequestTimeout):
-                xapp.set_beam(200, 0.0, timeout=0.2)
-            # Periods the xApp's policy would stop, sent raw as a peer might.
+            # A beam and periods the xApp's policy would stop, sent raw as a peer might.
+            xapp.channel.send(control_frame(999, CommandKind.SET_BEAM, beam_index=200))
             xapp.channel.send(control_frame(1000, CommandKind.SET_PERIOD, period_ms=-1.0))
             xapp.channel.send(control_frame(1001, CommandKind.SET_PERIOD, period_ms=math.nan))
             xapp.await_report(len(xapp.reports) + 5, timeout=1.0)
@@ -509,12 +526,17 @@ class TestRunLoop:
         assert dapp.machine.violations == []
         assert not dapp.config.sic_enabled
 
-    @pytest.mark.parametrize("scene, error", [
-        (EchoScene(targets=(Target(20.0),), snr_db=20.0, seed=-1), "ValueError"),
-        (EchoScene(targets=(Target(1e5),), snr_db=20.0), "DelayExceedsBurst"),
-    ], ids=["negative-seed", "delay-beyond-burst"])
-    def test_a_burst_that_raises_closes_the_subscription_not_the_thread(self, scene, error):
+    @pytest.mark.parametrize("scene, header, error", [
+        (EchoScene(targets=(Target(20.0),), snr_db=20.0, seed=-1), None, "ValueError"),
+        (EchoScene(targets=(Target(1e5),), snr_db=20.0), None, "DelayExceedsBurst"),
+        (None, PADDED_HEADER, "NonZeroPadding"),
+        (None, UNKNOWN_WAVEFORM_HEADER, "UnknownWaveformId"),
+    ], ids=["negative-seed", "delay-beyond-burst", "padding-bits", "unknown-waveform"])
+    def test_a_burst_that_raises_closes_the_subscription_not_the_thread(self, scene, header,
+                                                                        error):
         dapp, xapp = small_stack(period_ms=10.0, scene=scene)
+        if header is not None:
+            dapp.ru = RewrittenHeader(dapp.ru, header)
         try:
             xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
             deadline = time.monotonic() + 1.0
@@ -674,6 +696,29 @@ class TestSeededOutputs:
         for _ in range(2):
             with pytest.raises(DelayExceedsBurst):
                 dapp.sense_once()
+
+
+class TestRadioUnitSeam:
+    """The dApp reads each echo through the metadata the RU returns with it."""
+
+    @pytest.mark.parametrize("header, error", [
+        (PADDED_HEADER, NonZeroPadding),
+        (UNKNOWN_WAVEFORM_HEADER, UnknownWaveformId),
+    ], ids=["padding-bits", "unknown-waveform"])
+    def test_a_header_the_dapp_cannot_read_raises(self, header, error):
+        dapp = offline_dapp(DIGEST_SCENES[0])
+        dapp.ru = RewrittenHeader(dapp.ru, header)
+        with pytest.raises(error):
+            dapp.sense_once()
+
+    def test_the_report_follows_the_beam_the_header_names(self):
+        dapp = offline_dapp(DIGEST_SCENES[0])
+        dapp.ru = RewrittenHeader(dapp.ru, encode_metadata(
+            SensingMetadata(beam_index=1, sensing_flag=True)))
+        report = dapp.sense_once()
+        assert dapp.config.active_beam == 0
+        assert report.beam_index == 1
+        assert report.aoa_azimuth_deg == BEAMS.direction(1)[0] == 15.0
 
 
 def test_first_burst_does_not_load_masked_arrays():

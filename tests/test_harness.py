@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from oran_isac.control import PolicyViolation, XApp, load_policy
+from oran_isac.control import A1IsacPolicy, PolicyViolation, XApp, load_policy
 from oran_isac.harness import (
     ConfigParseError,
     ExperimentConfig,
     SceneParseError,
     SetupFailure,
+    _subscribed_stack,
     default_beam_table,
     default_waveform,
     load_config,
@@ -156,9 +157,18 @@ class TestLoadConfig:
         path.write_text(json.dumps({"policy": {"geographic_scope": [[-10, 10]]}}))
         cfg = load_config(path)
         _, xapp_end = channel_pair()
-        xapp = XApp(xapp_end, policy=cfg.policy)
+        xapp = XApp(xapp_end, policy=cfg.policy, beam_table=default_beam_table())
         with pytest.raises(PolicyViolation):
-            xapp.set_beam(8, 60.0)
+            xapp.set_beam(8)
+
+    def test_an_xapp_without_a_beam_table_says_so(self):
+        _, xapp_end = channel_pair()
+        xapp = XApp(xapp_end)
+        sent = []
+        xapp.channel.send = sent.append
+        with pytest.raises(PolicyViolation, match="no beam table"):
+            xapp.set_beam(4)
+        assert sent == []
 
 
 class TestConfigFiles:
@@ -272,6 +282,24 @@ class TestExperimentB:
         with pytest.raises(PolicyViolation, match="period 2.0 ms outside"):
             run(cfg)
         assert threading.active_count() == threads
+
+    def test_the_scope_judges_the_direction_of_the_beam_it_names(self):
+        # The default table steers beam 4 to 0 degrees and beam 8 to 60.
+        cfg = small_config(policy=A1IsacPolicy(geographic_scope=((-10.0, 10.0),),
+                                               min_period_ms=5.0))
+        with _subscribed_stack(cfg, 20.0) as (dapp, xapp, _):
+            sent = []
+            send = xapp.channel.send
+            xapp.channel.send = lambda frame: (sent.append(frame), send(frame))[1]
+            with pytest.raises(PolicyViolation, match="OUT_OF_GEOGRAPHIC_SCOPE"):
+                xapp.set_beam(8)
+            with pytest.raises(PolicyViolation, match="beam 9 is not in the beam table"):
+                xapp.set_beam(9)
+            assert sent == []
+            xapp.set_beam(4)
+            assert len(sent) == 1
+        assert dapp.config.active_beam == 4
+        assert dapp.refused_commands == 0
 
 
 class TestSensingAccuracy:
