@@ -275,6 +275,16 @@ class XApp:
         if self._thread is not None:
             self._thread.join(5.0)
 
+    def counters(self) -> dict:
+        """Every failure this side counted, as ``summary.json`` writes it."""
+        return {
+            "late_replies": self.late_replies,
+            "decode_errors": dict(self.decode_errors),
+            "unexpected_replies": dict(self.unexpected_replies),
+            "unexpected_frames": dict(self.unexpected_frames),
+            "transport_drops": self.channel.drops,
+        }
+
     def _request(self, msg_type: MsgType, payload, timeout: float):
         """Send one request and return the payload of the reply to its correlation id.
 

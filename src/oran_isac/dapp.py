@@ -440,3 +440,16 @@ class SensingDapp:
         self.channel.close()
         if self._thread is not None:
             self._thread.join(5.0)
+
+    def counters(self) -> dict:
+        """Every failure this side counted, as ``summary.json`` writes it."""
+        return {
+            "dropped_blocks": self.dropped_blocks,
+            "late_bursts": self.late_bursts,
+            "refused_commands": self.refused_commands,
+            "decode_errors": dict(self.decode_errors),
+            "burst_errors": dict(self.burst_errors),
+            "unexpected_frames": dict(self.unexpected_frames),
+            "protocol_violations": len(self.machine.violations) + self.machine.unnoted_violations,
+            "transport_drops": self.channel.drops,
+        }

@@ -147,12 +147,14 @@ def _write_run(out_dir: Path | None, summary: dict, tables: dict[str, list[str]]
 
 
 @contextmanager
-def _subscribed_stack(cfg: ExperimentConfig,
-                      period_ms: float) -> Iterator[tuple[SensingDapp, XApp, SharedClock]]:
+def _subscribed_stack(cfg: ExperimentConfig, period_ms: float
+                      ) -> Iterator[tuple[SensingDapp, XApp, SharedClock, dict[str, dict]]]:
     """Run a dApp and an xApp on one channel pair and clock, subscribed at ``period_ms``.
 
-    Yields ``(dapp, xapp, clock)``. The xApp, then the dApp, stop on the way
-    out, a refused subscribe too. A scene no burst can carry starts nothing.
+    Yields ``(dapp, xapp, clock, counters)``. The xApp, then the dApp, stop on
+    the way out, a refused subscribe too; once both have stopped, ``counters``
+    holds each side's failure counters under ``"dapp"`` and ``"xapp"``. A scene
+    no burst can carry starts nothing.
     """
     try:
         check_targets_fit(cfg.scene.targets, cfg.waveform)
@@ -169,19 +171,26 @@ def _subscribed_stack(cfg: ExperimentConfig,
     xapp = XApp(xapp_end, policy=cfg.policy, clock=clock, beam_table=beams)
     dapp.start()
     xapp.start()
+    counters: dict[str, dict] = {}
     try:
         xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=period_ms)
-        yield dapp, xapp, clock
+        yield dapp, xapp, clock, counters
     finally:
         xapp.stop()
         dapp.stop()
+        counters.update(dapp=dapp.counters(), xapp=xapp.counters())
+
+
+def _dapp_drops(counters: dict[str, dict]) -> int:
+    """Reports the dApp lost: blocks it dropped plus frames its outbox evicted."""
+    return counters["dapp"]["dropped_blocks"] + counters["dapp"]["transport_drops"]
 
 
 def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
     """Periodicity control: execute the period schedule and score each segment."""
     if not cfg.schedule_ms:
         raise SetupFailure("empty period schedule")
-    with _subscribed_stack(cfg, cfg.schedule_ms[0]) as (dapp, xapp, clock):
+    with _subscribed_stack(cfg, cfg.schedule_ms[0]) as (_, xapp, clock, counters):
         boundaries = [(clock.now_ns(), cfg.schedule_ms[0])]  # (clock ns, target period)
         for target in cfg.schedule_ms[1:]:
             time.sleep(cfg.segment_duration_s)
@@ -189,7 +198,6 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
             boundaries.append((clock.now_ns(), target))
         time.sleep(cfg.segment_duration_s)
         reports = list(xapp.reports)
-        drops = dapp.channel.drops + dapp.dropped_blocks
 
     if len(reports) < 3:
         raise SetupFailure("too few reports collected")
@@ -224,8 +232,10 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
 
     summary = ExperimentSummary(
         segments=segments,
-        transport_drops=drops,
+        transport_drops=_dapp_drops(counters),
         sample_count=len(reports),
+        dapp_counters=counters["dapp"],
+        xapp_counters=counters["xapp"],
         metadata={
             "experiment": "periodicity-control",
             "schedule_ms": list(cfg.schedule_ms),
@@ -248,9 +258,8 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
     current value. The refresh leaves the report schedule alone, so
     ``num_probes`` probes take about ``num_probes * probe_period_ms``.
     """
-    with _subscribed_stack(cfg, cfg.probe_period_ms) as (dapp, xapp, _):
+    with _subscribed_stack(cfg, cfg.probe_period_ms) as (_, xapp, _, counters):
         samples = [xapp.closed_loop_probe() for _ in range(cfg.num_probes)]
-        drops = dapp.channel.drops + dapp.dropped_blocks
 
     telemetry = [s.telemetry_latency_ns / 1e6 for s in samples]
     control = [s.control_latency_ns / 1e6 for s in samples]
@@ -261,8 +270,10 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
         control_ms=latency_percentiles_ms(control),
         closed_loop_ms=latency_percentiles_ms(closed),
         compliance=compliance_table(closed),
-        transport_drops=drops,
+        transport_drops=_dapp_drops(counters),
         sample_count=len(samples),
+        dapp_counters=counters["dapp"],
+        xapp_counters=counters["xapp"],
         metadata={
             "experiment": "closed-loop-latency",
             "probe_period_ms": cfg.probe_period_ms,

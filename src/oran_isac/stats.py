@@ -113,6 +113,8 @@ class ExperimentSummary:
     transport_drops: int = 0
     sample_count: int = 0
     metadata: dict = field(default_factory=dict)
+    dapp_counters: dict = field(default_factory=dict)
+    xapp_counters: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         trio = tuple(self.telemetry_ms.values())
@@ -135,6 +137,8 @@ class ExperimentSummary:
             "compliance_convention": "strict less-than",
             "reference_prototype": REFERENCE_RESULTS,
             "metadata": self.metadata,
+            "dapp_counters": self.dapp_counters,
+            "xapp_counters": self.xapp_counters,
         }
 
 

@@ -1,9 +1,14 @@
 """Whole-frame transport between dApp and xApp: in-process and TCP loopback.
 
 Both implementations deliver frames intact and in order over a full-duplex
-channel pair. The in-process variant is a pair of bounded deques guarded by
-conditions; the TCP variant is a loopback socket with a 4-byte big-endian
-length prefix per frame.
+channel pair. The in-process variant is a pair of bounded deques, each
+guarded by a plain lock. A reader that finds its deque empty parks on a
+doorbell of its own, a lock it waits to acquire in one C call; a send appends
+the frame, takes the oldest parked reader's doorbell, and rings it after
+releasing the deque's lock, so each frame costs the receiver one wake. The
+TCP variant is a loopback socket with a 4-byte big-endian length prefix per
+frame; a frame's bytes stay buffered until all of it has arrived, so a
+timeout in the middle of a frame loses nothing.
 
 Backpressure differs between them. In process, ``send`` raises when the
 bounded outbox is full unless the frame was marked droppable, in which case
@@ -74,17 +79,27 @@ class Channel:
 
 
 class _InProcQueue:
-    """Bounded FIFO of (frame, droppable) with drop-oldest-droppable eviction."""
+    """Bounded FIFO of (frame, droppable) with drop-oldest-droppable eviction.
+
+    ``_lock`` guards the deque, the eviction, ``closed``, ``drops`` and
+    ``_parked``, the doorbells of the parked readers, oldest first. ``put``
+    takes one doorbell and ``close`` takes all, and each rings only after
+    ``_lock`` is released, so a woken reader never blocks again on a lock its
+    waker holds. A woken reader re-checks under ``_lock``; one whose wait
+    timed out withdraws its doorbell first, so no frame is rung to a reader
+    that has left.
+    """
 
     def __init__(self, bound: int) -> None:
         self._items: deque[tuple[bytes, bool]] = deque()
         self._bound = bound
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._parked: deque[threading.Lock] = deque()
         self.closed = False
         self.drops = 0
 
     def put(self, frame: bytes, droppable: bool) -> None:
-        with self._cond:
+        with self._lock:
             if self.closed:
                 raise Disconnected("peer closed")
             if len(self._items) >= self._bound:
@@ -98,20 +113,38 @@ class _InProcQueue:
                 if not evicted:
                     raise Backpressure(f"outbox full ({self._bound} frames)")
             self._items.append((frame, droppable))
-            self._cond.notify()
+            if not self._parked:
+                return
+            bell = self._parked.popleft()
+        bell.release()
 
     def get(self, timeout: float | None) -> bytes:
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._items or self.closed, timeout):
-                raise Timeout("no frame within deadline")
-            if not self._items:
-                raise Disconnected("peer closed")
-            return self._items.popleft()[0]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        wait = -1.0  # no deadline: a parked reader waits until it is rung
+        while True:
+            with self._lock:
+                if self._items:
+                    return self._items.popleft()[0]
+                if self.closed:
+                    raise Disconnected("peer closed")
+                if deadline is not None:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0:
+                        raise Timeout("no frame within deadline")
+                bell = threading.Lock()
+                bell.acquire()
+                self._parked.append(bell)
+            if not bell.acquire(True, wait):
+                with self._lock:
+                    if bell in self._parked:
+                        self._parked.remove(bell)
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self.closed = True
-            self._cond.notify_all()
+            bells, self._parked = self._parked, deque()
+        for bell in bells:
+            bell.release()
 
 
 class InProcChannel(Channel):
@@ -152,35 +185,42 @@ class TcpChannel(Channel):
             except (BrokenPipeError, ConnectionResetError, OSError) as e:
                 raise Disconnected(str(e)) from e
 
-    def _read_exact(self, n: int, deadline: float | None) -> bytes:
+    def _fill(self, n: int, deadline: float | None) -> None:
+        """Read until the buffer holds ``n`` bytes; a timeout leaves them there.
+
+        Past the deadline it still reads what the socket already holds,
+        without blocking, so ``timeout=0`` polls.
+        """
         while len(self._recv_buf) < n:
             if self._sock.fileno() == -1:
                 raise Disconnected("channel closed")
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise Timeout("no frame within deadline")
+                if remaining < 0:
+                    remaining = 0.0
             try:
                 # Inside the try: a close from another thread fails settimeout too.
                 self._sock.settimeout(remaining)
                 chunk = self._sock.recv(65536)
-            except socket.timeout:
+            except (socket.timeout, BlockingIOError):
                 raise Timeout("no frame within deadline") from None
             except (ConnectionResetError, OSError) as e:
                 raise Disconnected(str(e)) from e
             if not chunk:
                 raise Disconnected("peer closed connection")
             self._recv_buf += chunk
-        out, self._recv_buf = self._recv_buf[:n], self._recv_buf[n:]
-        return out
 
     def recv(self, timeout: float | None = None) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._recv_lock:
-            header = self._read_exact(_LEN_PREFIX.size, deadline)
-            (length,) = _LEN_PREFIX.unpack(header)
-            return self._read_exact(length, deadline)
+            # The header stays buffered until its whole frame has arrived.
+            self._fill(_LEN_PREFIX.size, deadline)
+            end = _LEN_PREFIX.size + _LEN_PREFIX.unpack_from(self._recv_buf)[0]
+            self._fill(end, deadline)
+            buf = self._recv_buf
+            self._recv_buf = buf[end:]
+            return buf[_LEN_PREFIX.size:end]
 
     def close(self) -> None:
         try:
@@ -231,7 +271,7 @@ def share_loop_cpu() -> None:
     thread, which issues the subscription and every control, and both loops
     share one CPU. The threads of one interpreter share one GIL, so a second
     CPU gives them almost no parallelism; what it adds is a wake across CPUs
-    on every hand-off, first of the receiver's socket or condition, then of
+    on every hand-off, first of the receiver's socket or doorbell, then of
     the GIL. Pinned to the same CPU, a report and a control both stay on one
     core, and no loop thread migrates while it holds the GIL.
 

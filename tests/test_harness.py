@@ -287,7 +287,7 @@ class TestExperimentB:
         # The default table steers beam 4 to 0 degrees and beam 8 to 60.
         cfg = small_config(policy=A1IsacPolicy(geographic_scope=((-10.0, 10.0),),
                                                min_period_ms=5.0))
-        with _subscribed_stack(cfg, 20.0) as (dapp, xapp, _):
+        with _subscribed_stack(cfg, 20.0) as (dapp, xapp, _, _):
             sent = []
             send = xapp.channel.send
             xapp.channel.send = lambda frame: (sent.append(frame), send(frame))[1]
@@ -300,6 +300,47 @@ class TestExperimentB:
             assert len(sent) == 1
         assert dapp.config.active_beam == 4
         assert dapp.refused_commands == 0
+
+
+DAPP_COUNTERS = {"dropped_blocks", "late_bursts", "refused_commands", "decode_errors",
+                 "burst_errors", "unexpected_frames", "protocol_violations",
+                 "transport_drops"}
+XAPP_COUNTERS = {"late_replies", "decode_errors", "unexpected_replies",
+                 "unexpected_frames", "transport_drops"}
+
+
+class TestCounters:
+    def test_the_stack_reads_both_sides_counters_once_it_stops(self):
+        # Ten bytes with version byte 9: neither side can decode them.
+        bad = bytes([9]) + bytes(9)
+        with _subscribed_stack(small_config(), 20.0) as (dapp, xapp, _, counters):
+            assert counters == {}
+            dapp.channel.send(bad)
+            xapp.channel.send(bad)
+            deadline = time.monotonic() + 2.0
+            while not (dapp.decode_errors and xapp.decode_errors) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+        assert set(counters) == {"dapp", "xapp"}
+        assert set(counters["dapp"]) == DAPP_COUNTERS
+        assert set(counters["xapp"]) == XAPP_COUNTERS
+        assert counters["dapp"]["decode_errors"] == {"UnknownVersion": 1}
+        assert counters["xapp"]["decode_errors"] == {"UnknownVersion": 1}
+        assert counters["dapp"]["late_bursts"] == dapp.late_bursts
+        assert counters["dapp"]["protocol_violations"] == 0
+        assert counters["xapp"]["late_replies"] == 0
+
+    @pytest.mark.parametrize("run", [run_experiment_a, run_experiment_b])
+    def test_exp_a_and_exp_b_write_both_records(self, tmp_path, run):
+        cfg = small_config(schedule_ms=(20.0,), segment_duration_s=0.3,
+                           out_dir=tmp_path / "run")
+        summary = run(cfg)
+        doc = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert doc["dapp_counters"] == summary.dapp_counters
+        assert doc["xapp_counters"] == summary.xapp_counters
+        assert set(doc["dapp_counters"]) == DAPP_COUNTERS
+        assert set(doc["xapp_counters"]) == XAPP_COUNTERS
+        assert doc["dapp_counters"]["decode_errors"] == {}
 
 
 class TestSensingAccuracy:

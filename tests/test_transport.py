@@ -1,5 +1,7 @@
 """Frame transport contract tests for both channel kinds."""
 
+import random
+import sys
 import threading
 import time
 
@@ -179,3 +181,143 @@ class TestBackpressure:
             except Exception:
                 break
         assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_timeout_zero_on_an_empty_end_raises_at_once(kind):
+    a, b = channel_pair(kind)
+    try:
+        start = time.monotonic()
+        with pytest.raises(Timeout):
+            b.recv(timeout=0)
+        assert time.monotonic() - start < 0.05
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_timeout_zero_returns_a_frame_already_there(kind):
+    a, b = channel_pair(kind)
+    try:
+        a.send(b"waiting")
+        time.sleep(0.05)
+        assert b.recv(timeout=0) == b"waiting"
+    finally:
+        a.close()
+        b.close()
+
+
+def test_tcp_timeout_in_the_middle_of_a_frame_keeps_the_stream():
+    a, b = channel_pair(EndpointKind.TCP)
+    try:
+        a._sock.sendall((10).to_bytes(4, "big") + b"0123")
+        with pytest.raises(Timeout):
+            b.recv(timeout=0.05)
+        a._sock.sendall(b"456789")
+        a.send(b"next")
+        assert b.recv(timeout=1.0) == b"0123456789"
+        assert b.recv(timeout=1.0) == b"next"
+    finally:
+        a.close()
+        b.close()
+
+
+def test_inproc_one_frame_wakes_one_of_two_parked_readers_and_close_wakes_the_other():
+    a, b = channel_pair(EndpointKind.IN_PROCESS)
+    results = []
+
+    def reader():
+        try:
+            results.append(b.recv(timeout=5.0))
+        except Disconnected:
+            results.append("disconnected")
+
+    threads = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+    for t in threads:
+        t.start()
+    time.sleep(0.1)  # both readers park
+    a.send(b"only")
+    deadline = time.monotonic() + 2.0
+    while not results and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.1)  # a second wake would show here
+    assert results == [b"only"]
+    assert sum(t.is_alive() for t in threads) == 1
+    a.close()
+    for t in threads:
+        t.join(2.0)
+        assert not t.is_alive()
+    assert results == [b"only", "disconnected"]
+
+
+def test_inproc_close_wakes_every_parked_reader():
+    a, b = channel_pair(EndpointKind.IN_PROCESS)
+    results = []
+
+    def reader():
+        try:
+            b.recv()
+        except Disconnected:
+            results.append("disconnected")
+
+    threads = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+    for t in threads:
+        t.start()
+    time.sleep(0.1)  # both readers park, with no timeout
+    a.close()
+    for t in threads:
+        t.join(1.0)
+        assert not t.is_alive()
+    assert results == ["disconnected", "disconnected"]
+
+
+@pytest.mark.parametrize("readers", [1, 2])
+def test_inproc_timed_receives_racing_sends_lose_no_frame(readers):
+    # Each frame is sent after a pause about as long as the readers' timeouts,
+    # so a parked reader's timeout races the send that rings it, and the
+    # sender waits until the frame is taken. Readers also park with no
+    # timeout: a ring lost to a reader that left strands that reader, and
+    # its frame, for good.
+    rounds = 2000
+    a, b = channel_pair(EndpointKind.IN_PROCESS)
+    got: list[list[int]] = [[] for _ in range(readers)]
+
+    def reader(mine: list[int], k: int) -> None:
+        timeouts = (None, 1e-4, 5e-5, 2e-4)
+        i = k
+        while True:
+            i += 1
+            try:
+                mine.append(int.from_bytes(b.recv(timeout=timeouts[i % 4]), "big"))
+            except Timeout:
+                pass
+            except Disconnected:
+                return
+
+    def taken(n: int) -> bool:
+        deadline = time.monotonic() + 2.0
+        while sum(len(g) for g in got) < n:
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0)
+        return True
+
+    pauses = random.Random(readers)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader, args=(got[k], k), daemon=True) for k in range(readers)]
+    try:
+        for t in threads:
+            t.start()
+        for i in range(rounds):
+            time.sleep(pauses.uniform(0.0, 2e-4))
+            a.send(i.to_bytes(4, "big"))
+            assert taken(i + 1), f"frame {i} stranded"
+    finally:
+        sys.setswitchinterval(old)
+        a.close()
+        for t in threads:
+            t.join(2.0)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(i for g in got for i in g) == list(range(rounds))
