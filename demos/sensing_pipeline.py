@@ -9,7 +9,7 @@ printed next to the header and the scene's targets.
 
 import numpy as np
 
-from oran_isac.clock import default_clock
+from oran_isac.clock import SharedClock
 from oran_isac.dapp import delay_doppler_map, estimate_kpis
 from oran_isac.harness import default_beam_table, default_waveform
 from oran_isac.ofh import IqBlock, SensingMetadata, decode_metadata
@@ -34,7 +34,7 @@ def main() -> None:
     print(f"range bin: {299792458 / (2 * cfg.sample_rate):.3f} m\n")
 
     grid, probe = generate_probe(cfg, seed=0)
-    sent = SensingMetadata(default_clock().now_ns(), waveform_id=0,
+    sent = SensingMetadata(SharedClock().now_ns(), waveform_id=0,
                            beam_index=4, sensing_flag=True)  # boresight
     header, samples = RadioUnit(scene, beams).burst(probe, cfg, sent, sic_enabled=True, index=0)
     meta = decode_metadata(header)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .clock import SharedClock, default_clock
+from .clock import SharedClock
 from .e2sm import (
     CommandKind,
     ControlAckPayload,
@@ -216,7 +216,7 @@ class XApp:
         self.channel = channel
         self.policy = policy or A1IsacPolicy()
         self.beam_table = beam_table
-        self.clock = clock or default_clock()
+        self.clock = clock or SharedClock()
         self.reports: list[ReceivedReport] = []
         self.samples: list[LatencySample] = []
         self.subscription_id: int | None = None

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .clock import SharedClock, default_clock
+from .clock import SharedClock
 from .e2sm import (
     CommandKind,
     ControlAckPayload,
@@ -275,7 +275,7 @@ class SensingDapp:
         self.ru = RadioUnit(scene, beam_table)
         self.probe_seed = scene.seed
         self.channel = channel
-        self.clock = clock or default_clock()
+        self.clock = clock or SharedClock()
         self.machine = SubscriptionMachine()
         self.trigger = TriggerConfig()
         self.sequence_number = 0
@@ -401,8 +401,10 @@ class SensingDapp:
         overruns its slot is followed by the next one after a short gap
         (``_LATE_GAP`` of the period), not a full period later, so the report
         interval grows with the burst time instead of jumping to twice the
-        period. Deadlines are integer nanoseconds of ``self.clock``: a float
-        of an epoch-anchored count keeps only about 256 ns of precision.
+        period. Every pass reads the channel, if only to poll it, so no
+        period, however short, starves inbound control. Deadlines are
+        integer nanoseconds of ``self.clock``: a float of an epoch-anchored
+        count keeps only about 256 ns of precision.
         """
         next_deadline = self.clock.now_ns() + self._period_ns()
         try:
@@ -413,13 +415,13 @@ class SensingDapp:
                         self._emit()
                     period = self._period_ns()
                     next_deadline += period
-                    late = self.clock.now_ns() + round(_LATE_GAP * period)
+                    now = self.clock.now_ns()
+                    late = now + round(_LATE_GAP * period)
                     if late > next_deadline:
                         next_deadline = late
                         self.late_bursts += 1
-                    continue
                 try:
-                    frame = self.channel.recv(timeout=(next_deadline - now) / 1e9)
+                    frame = self.channel.recv(timeout=max(0, next_deadline - now) / 1e9)
                 except Timeout:
                     continue
                 if self._handle_frame(frame):

@@ -149,12 +149,13 @@ def _write_run(out_dir: Path | None, summary: dict, tables: dict[str, list[str]]
 @contextmanager
 def _subscribed_stack(cfg: ExperimentConfig, period_ms: float
                       ) -> Iterator[tuple[SensingDapp, XApp, SharedClock, dict[str, dict]]]:
-    """Run a dApp and an xApp on one channel pair and clock, subscribed at ``period_ms``.
+    """Run a dApp and an xApp on one channel pair, subscribed at ``period_ms``.
 
-    Yields ``(dapp, xapp, clock, counters)``. The xApp, then the dApp, stop on
-    the way out, a refused subscribe too; once both have stopped, ``counters``
-    holds each side's failure counters under ``"dapp"`` and ``"xapp"``. A scene
-    no burst can carry starts nothing.
+    Yields ``(dapp, xapp, clock, counters)``. ``clock`` is the dApp's; every
+    ``SharedClock`` reads the same time, so the xApp's agrees with it. The
+    xApp, then the dApp, stop on the way out, a refused subscribe too; once
+    both have stopped, ``counters`` holds each side's failure counters under
+    ``"dapp"`` and ``"xapp"``. A scene no burst can carry starts nothing.
     """
     try:
         check_targets_fit(cfg.scene.targets, cfg.waveform)
@@ -164,17 +165,16 @@ def _subscribed_stack(cfg: ExperimentConfig, period_ms: float
         dapp_end, xapp_end = channel_pair(cfg.transport)
     except OSError as e:
         raise SetupFailure(f"transport setup failed: {e}") from e
-    clock = SharedClock()
     beams = default_beam_table()
     dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg.waveform},
-                       beams, cfg.scene, dapp_end, clock)
-    xapp = XApp(xapp_end, policy=cfg.policy, clock=clock, beam_table=beams)
+                       beams, cfg.scene, dapp_end)
+    xapp = XApp(xapp_end, policy=cfg.policy, beam_table=beams)
     dapp.start()
     xapp.start()
     counters: dict[str, dict] = {}
     try:
         xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=period_ms)
-        yield dapp, xapp, clock, counters
+        yield dapp, xapp, dapp.clock, counters
     finally:
         xapp.stop()
         dapp.stop()

@@ -11,7 +11,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oran_isac.clock import SharedClock
 from oran_isac.control import (
     _POLICY_FIELDS,
     A1IsacPolicy,
@@ -45,6 +44,7 @@ from oran_isac.ofh import BeamTable, WaveformConfig
 from oran_isac.radio import EchoScene, Target
 from oran_isac import transport
 from oran_isac.transport import Disconnected, EndpointKind, channel_pair
+from virtual import ScriptedEnd, VirtualClock, peer_scripts
 
 BEAMS = BeamTable({0: (0.0, 0.0), 1: (15.0, 0.0)})
 POLICY = A1IsacPolicy(min_period_ms=5.0, max_period_ms=100.0)
@@ -151,11 +151,10 @@ def test_invalid_policy_document_raises_typed_error(doc):
 def stack(policy=POLICY, period_ms=20.0):
     cfg = WaveformConfig(64, 16, 100e6 / 64, "qpsk-prs", 3.5e9, 1e8, 4)
     scene = EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=20.0)
-    clock = SharedClock()
     dapp_end, xapp_end = channel_pair()
     dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg}, BEAMS,
-                       scene, dapp_end, clock)
-    xapp = XApp(xapp_end, policy=policy, clock=clock, beam_table=BEAMS)
+                       scene, dapp_end)
+    xapp = XApp(xapp_end, policy=policy, beam_table=BEAMS)
     dapp.start()
     xapp.start()
     return dapp, xapp
@@ -459,6 +458,23 @@ def test_a_request_sent_to_the_xapp_is_unexpected_not_a_late_reply(msg_type):
         peer.close()
     assert xapp.unexpected_frames == {msg_type: 1}
     assert xapp.late_replies == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(peer_scripts(20_000_000))
+def test_the_xapp_accounts_for_every_peer_frame(script):
+    """Any script of peer frames: the receive loop reads them all and ends with the script.
+
+    Every frame is a report, a late reply (nobody awaits one here), or
+    counted as undecodable or unexpected.
+    """
+    clock = VirtualClock()
+    end = ScriptedEnd(clock, script, max((t for t, _ in script), default=0) + 1)
+    xapp = XApp(end, clock=clock)
+    xapp._recv_loop()
+    assert not end.inbox and clock.t == end.end_ns
+    assert len(xapp.reports) + xapp.late_replies + sum(xapp.decode_errors.values()) \
+        + sum(xapp.unexpected_frames.values()) == len(script)
 
 
 def _subscribe_and_await_reports(dapp, xapp):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oran_isac.clock import SharedClock
 from oran_isac.dapp import (
     AOA_SHIFT,
     ECHO_ENERGY,
@@ -45,6 +44,7 @@ from oran_isac.e2sm import (
     SubscriptionResponsePayload,
     SubState,
     TriggerConfig,
+    decode_message,
     encode_message,
     valid_period,
 )
@@ -62,6 +62,7 @@ from oran_isac.radio import (
     generate_probe,
 )
 from oran_isac.transport import Timeout, channel_pair
+from virtual import ScriptedEnd, VirtualClock, peer_scripts
 
 BEAMS = BeamTable({0: (0.0, 0.0), 1: (15.0, 0.0)})
 
@@ -331,51 +332,91 @@ PADDED_HEADER = bytes([0x81]) + bytes(11)
 UNKNOWN_WAVEFORM_HEADER = encode_metadata(SensingMetadata(waveform_id=7, sensing_flag=True))
 
 
+SMALL_CFG = make_cfg(fft_size=64, cp_length=16, num_symbols=4)
+SMALL_SCENE = EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=20.0)
+
+
 def small_stack(period_ms=10.0, scene=None):
-    cfg = make_cfg(fft_size=64, cp_length=16, num_symbols=4)
-    scene = scene or EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=20.0)
-    clock = SharedClock()
     dapp_end, xapp_end = channel_pair()
-    dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg}, BEAMS,
-                       scene, dapp_end, clock)
-    xapp = XApp(xapp_end, clock=clock, beam_table=BEAMS)
+    dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: SMALL_CFG}, BEAMS,
+                       scene or SMALL_SCENE, dapp_end)
+    xapp = XApp(xapp_end, beam_table=BEAMS)
     dapp.start()
     xapp.start()
     return dapp, xapp
 
 
+MS = 1_000_000  # ns
+
+
+class SlowRadio:
+    """A substitute RU: the real RU's burst, taking ``cost_ns`` of virtual time."""
+
+    def __init__(self, ru, clock, cost_ns):
+        self.ru, self.clock, self.cost_ns = ru, clock, cost_ns
+
+    def burst(self, *request):
+        self.clock.advance_to(self.clock.t + self.cost_ns)
+        return self.ru.burst(*request)
+
+
+def virtual_dapp(script, end_ms, burst_ms=0.0):
+    """A dApp whose peer is ``script``, each burst taking ``burst_ms`` of virtual time."""
+    clock = VirtualClock()
+    end = ScriptedEnd(clock, script, round(end_ms * MS))
+    dapp = SensingDapp(DappConfig(), {0: SMALL_CFG}, BEAMS, SMALL_SCENE, end, clock)
+    dapp.ru = SlowRadio(dapp.ru, clock, round(burst_ms * MS))
+    return dapp, end
+
+
+def sent(end, msg_type):
+    """``(virtual ns, payload)`` of every frame of one type the dApp sent."""
+    messages = [(t, decode_message(frame)) for t, frame in end.sent]
+    return [(t, msg.payload) for t, msg in messages if msg.msg_type == msg_type]
+
+
+def control_frame(corr, kind, **fields):
+    return encode_message(E2SensMessage(
+        msg_type=MsgType.CONTROL_REQUEST, correlation_id=corr,
+        payload=ControlRequestPayload(kind=kind, issued_at=0, **fields)))
+
+
+def subscribe_frame(corr, period_ms):
+    return encode_message(E2SensMessage(
+        MsgType.SUBSCRIPTION_REQUEST, corr,
+        SubscriptionRequestPayload(SubscriptionMode.PERIODIC, period_ms=period_ms)))
+
+
 class TestRunLoop:
+    """The run loop's cadence in virtual time, and its control on live threads.
+
+    On real threads the cadence is gated by ``test_periodicity_control`` and
+    ``test_closed_loop_decomposition`` in ``test_acceptance.py``.
+    """
+
     def test_periodic_report_count(self):
-        dapp, xapp = small_stack(period_ms=10.0)
-        try:
-            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
-            time.sleep(1.0)
-        finally:
-            xapp.stop()
-            dapp.stop()
-        count = len(xapp.reports)
-        assert 98 <= count <= 102
-        seqs = [r.report.sequence_number for r in xapp.reports]
-        assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+        """One second of a 10 ms subscription: a report at 10, 20, ... 990 ms."""
+        dapp, end = virtual_dapp([(0, subscribe_frame(1, 10.0))], end_ms=1000.0)
+        dapp.run()
+        reports = sent(end, MsgType.INDICATION)
+        assert [t for t, _ in reports] == [k * 10 * MS for k in range(1, 100)]
+        assert [r.t0 for _, r in reports] == [t for t, _ in reports]
+        assert [r.sequence_number for _, r in reports] == list(range(1, 100))
+        assert dapp.late_bursts == 0
 
     def test_period_change_takes_effect_within_two_periods(self):
-        dapp, xapp = small_stack(period_ms=100.0)
-        try:
-            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=100.0)
-            time.sleep(0.45)
-            xapp.set_period(20.0)
-            change_t = dapp.clock.now_ns()
-            time.sleep(0.5)
-        finally:
-            xapp.stop()
-            dapp.stop()
-        after = [r for r in xapp.reports if r.t1_ns > change_t]
-        inter = np.diff([r.t1_ns for r in after]) / 1e6
-        # Skip the straddling interval; the rest must reflect the new period.
-        assert len(inter) >= 10
-        assert np.mean(inter[2:]) == pytest.approx(20.0, abs=2.0)
-        seqs = [r.report.sequence_number for r in xapp.reports]
-        assert all(b == a + 1 for a, b in zip(seqs, seqs[1:]))
+        """A SET_PERIOD to 20 ms at 455 ms: the next report follows 20 ms after it."""
+        dapp, end = virtual_dapp(
+            [(0, subscribe_frame(1, 100.0)),
+             (455 * MS, control_frame(2, CommandKind.SET_PERIOD, period_ms=20.0))],
+            end_ms=1000.0)
+        dapp.run()
+        reports = sent(end, MsgType.INDICATION)
+        assert [t for t, _ in reports] == [k * MS for k in (100, 200, 300, 400,
+                                                            *range(475, 1000, 20))]
+        assert [r.sequence_number for _, r in reports] == list(range(1, len(reports) + 1))
+        assert sent(end, MsgType.CONTROL_ACK) == [(455 * MS, ControlAckPayload(455 * MS,
+                                                                               455 * MS))]
 
     def test_event_mode_fires_on_appearance(self):
         scene = EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=30.0)
@@ -434,29 +475,51 @@ class TestRunLoop:
         assert later.report.si_power_db > first.report.si_power_db + 10.0
 
     def test_overrunning_burst_is_followed_at_once(self):
-        """15 ms bursts on a 10 ms period: a report every ~15 ms, not 25 ms."""
+        """15 ms bursts on a 10 ms period: a report every 16 ms, not 20 or 25 ms.
+
+        Each burst overruns its slot, so the next one starts after the 1 ms
+        late gap, and every slot counts in ``late_bursts``.
+        """
+        dapp, end = virtual_dapp(
+            [(0, subscribe_frame(1, 10.0)),
+             (600 * MS, control_frame(2, CommandKind.SET_SIC, sic_enabled=False))],
+            end_ms=700.0, burst_ms=15.0)
+        dapp.run()
+        reports = sent(end, MsgType.INDICATION)
+        assert [t for t, _ in reports] == [(25 + 16 * k) * MS for k in range(43)]
+        assert dapp.late_bursts == 43
+        # Control still lands while every burst is late: after the burst it arrived in.
+        assert sent(end, MsgType.CONTROL_ACK) == [(601 * MS, ControlAckPayload(601 * MS,
+                                                                               601 * MS))]
+        assert not dapp.config.sic_enabled
+
+    def test_a_tiny_period_does_not_starve_control(self):
+        """0.5 ms bursts on a 1e-6 ms period: a SET_SIC at 1 ms is read after its burst."""
+        dapp, end = virtual_dapp(
+            [(0, subscribe_frame(1, 1e-6)),
+             (MS, control_frame(2, CommandKind.SET_SIC, sic_enabled=False))],
+            end_ms=6.0, burst_ms=0.5)
+        dapp.run()
+        assert [t for t, _ in sent(end, MsgType.INDICATION)][:2] == [501_000, 1_002_000]
+        assert sent(end, MsgType.CONTROL_ACK) == [(1_002_000,
+                                                   ControlAckPayload(1_002_000, 1_002_000))]
+        assert not dapp.config.sic_enabled
+
+    def test_a_tiny_period_leaves_control_and_stop_working(self):
+        """1e-9 ms rounds to a 0 ns period: the live loop still acks, and ``stop()`` ends it."""
         dapp, xapp = small_stack(period_ms=10.0)
-        sense = dapp.sense_once
-
-        def slow_sense():
-            time.sleep(0.015)
-            return sense()
-
-        dapp.sense_once = slow_sense
         try:
-            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=10.0)
-            time.sleep(0.6)
-            # Control still lands while every burst is late.
+            # The xApp's policy would refuse the period, so it goes raw, as a peer might.
+            xapp.channel.send(control_frame(999, CommandKind.SET_PERIOD, period_ms=1e-9))
             xapp.set_sic(False, timeout=1.0)
         finally:
             xapp.stop()
+            stopping = time.monotonic()
             dapp.stop()
-        inter = np.diff([r.t1_ns for r in xapp.reports]) / 1e6
-        assert len(inter) >= 20
-        assert np.median(inter) < 20.0
+        assert time.monotonic() - stopping < 1.0
+        assert not dapp._thread.is_alive()
+        assert dapp.config.report_period_ms == 1e-9
         assert not dapp.config.sic_enabled
-        # Each burst overran its slot; the one cut by stop() may go either way.
-        assert abs(dapp.late_bursts - len(xapp.reports)) <= 1
 
     def test_refused_commands_are_counted_and_the_loop_keeps_serving(self):
         dapp, xapp = small_stack(period_ms=10.0)
@@ -598,6 +661,29 @@ class TestRunLoop:
         assert np.median(inter) < 23.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(peer_scripts(20 * MS))
+@example([(0, control_frame(1, CommandKind.SET_PERIOD, period_ms=1e-9))])
+def test_the_dapp_accounts_for_every_peer_frame(script):
+    """Any script of peer frames: ``run()`` reads them all and ends with the script.
+
+    Every frame is answered (a subscription response or a control ack),
+    refused, or counted as undecodable or unexpected. A burst takes 1 ms of
+    virtual time, and the script ends late enough for its last frame to be
+    answered.
+    """
+    last = max((t for t, _ in script), default=0)
+    dapp, end = virtual_dapp(script, end_ms=(last + (len(script) + 2) * MS) / MS,
+                             burst_ms=1.0)
+    dapp.run()
+    assert not end.inbox and end.clock.t >= end.end_ns
+    answered = (len(sent(end, MsgType.SUBSCRIPTION_RESPONSE))
+                + len(sent(end, MsgType.CONTROL_ACK)))
+    assert answered + dapp.refused_commands + sum(dapp.decode_errors.values()) \
+        + sum(dapp.unexpected_frames.values()) == len(script)
+    assert not dapp.burst_errors
+
+
 @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300],
                          ids=["nan", "inf", "-inf", "zero", "negative", "1e300"])
 def test_out_of_range_period_is_refused_everywhere(period):
@@ -637,12 +723,6 @@ DIGEST_SCENES = (
 # SHA-256 over the digest sequence below. A change to it means seeded outputs
 # moved: that is a different simulator, not an optimisation.
 SEEDED_DIGEST = "c294b0baef7c446743df8b98cae1bdf5d85b90afb3069742427ed24efe1cda7f"
-
-
-def control_frame(corr, kind, **fields):
-    return encode_message(E2SensMessage(
-        msg_type=MsgType.CONTROL_REQUEST, correlation_id=corr,
-        payload=ControlRequestPayload(kind=kind, issued_at=0, **fields)))
 
 
 def offline_dapp(scene, config=None):
