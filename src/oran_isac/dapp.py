@@ -40,11 +40,12 @@ from .e2sm import (
 )
 from .ofh import (BeamTable, IqBlock, SensingMetadata, WaveformConfig, decode_metadata,
                   lookup_waveform)
-from .radio import SPEED_OF_LIGHT, EchoScene, RadioUnit, generate_probe
+from .radio import SPEED_OF_LIGHT, EchoScene, NoiseHelper, RadioUnit, generate_probe
 # Never called: perfbench/selftest.py checks that a traced run wraps
 # dapp.apply_scene. It goes once that check reads radio's (ROADMAP item 4).
 from .radio import apply_scene  # noqa: F401
-from .transport import Channel, Disconnected, Timeout, send_telemetry, share_loop_cpu
+from .transport import (Channel, Disconnected, Timeout, send_telemetry, share_loop_cpu,
+                        spare_cpus)
 
 ECHO_ENERGY = "ECHO_ENERGY"
 AOA_SHIFT = "AOA_SHIFT"
@@ -81,10 +82,12 @@ def delay_doppler_map(block: IqBlock, cfg: WaveformConfig,
         )
     n, cp, m = cfg.fft_size, cfg.cp_length, cfg.num_symbols
     symbols = block.samples.reshape(m, n + cp)[:, cp:]
-    rx_grid = np.fft.fft(symbols, axis=1) / math.sqrt(n)
-    quotient = rx_grid / probe_grid
-    profile = np.fft.ifft(quotient, axis=1)       # subcarriers -> delay
-    spectrum = np.fft.fft(profile, axis=0) / m    # symbols -> Doppler
+    rx_grid = np.fft.fft(symbols, axis=1)
+    rx_grid /= math.sqrt(n)
+    rx_grid /= probe_grid
+    profile = np.fft.ifft(rx_grid, axis=1)        # subcarriers -> delay
+    spectrum = np.fft.fft(profile, axis=0)        # symbols -> Doppler
+    spectrum /= m
     return np.abs(spectrum.T) ** 2
 
 
@@ -99,13 +102,11 @@ def _parabolic_offset(left: float, center: float, right: float) -> float:
 
 
 def _second_peak(power_map: np.ndarray, peak: tuple[int, int]) -> float:
+    """Largest value outside the block of bins within the guard of the peak, wrapping."""
     masked = power_map.copy()
-    di = np.arange(power_map.shape[0])
-    pi = np.arange(power_map.shape[1])
-    d_dist = np.minimum(np.abs(di - peak[0]), power_map.shape[0] - np.abs(di - peak[0]))
-    p_dist = np.minimum(np.abs(pi - peak[1]), power_map.shape[1] - np.abs(pi - peak[1]))
-    region = (d_dist[:, None] <= _CONFIDENCE_GUARD) & (p_dist[None, :] <= _CONFIDENCE_GUARD)
-    masked[region] = 0.0
+    offsets = np.arange(-_CONFIDENCE_GUARD, _CONFIDENCE_GUARD + 1)
+    masked[np.ix_((peak[0] + offsets) % power_map.shape[0],
+                  (peak[1] + offsets) % power_map.shape[1])] = 0.0
     return float(masked.max()) if masked.size else 0.0
 
 
@@ -143,8 +144,10 @@ def multipath_spread(power_delay_profile: np.ndarray, bin_width_s: float) -> flo
         return 0.0
     delays = np.nonzero(sel)[0] * bin_width_s
     weights = pdp[sel]
-    mean = float(np.average(delays, weights=weights))
-    return float(math.sqrt(np.average((delays - mean) ** 2, weights=weights)))
+    total = weights.sum()
+    # np.average's own formula, without its argument checks.
+    mean = float(np.multiply(delays, weights).sum() / total)
+    return float(math.sqrt(np.multiply((delays - mean) ** 2, weights).sum() / total))
 
 
 def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
@@ -260,7 +263,12 @@ class SensingDapp:
 
     ``start()`` pins the calling thread to the loop CPU before it creates the
     worker thread, which inherits that CPU (see ``share_loop_cpu``). The
-    caller stays pinned after ``stop()``.
+    caller stays pinned after ``stop()``. Before it pins, ``start()`` gives
+    the RU a noise helper on the other CPUs, if the process has any; ``stop()``
+    ends that process once the thread has joined. ``local_noise_draws``
+    counts the bursts whose noise was drawn on the loop CPU all the same.
+    A dApp that is never started, as ``sense`` uses it, draws all its noise
+    itself.
     """
 
     def __init__(self, config: DappConfig,
@@ -288,6 +296,7 @@ class SensingDapp:
         self.unexpected_frames: Counter[str] = Counter()
         self._probes: dict[int, tuple[WaveformConfig, np.ndarray, np.ndarray]] = {}
         self._thread: threading.Thread | None = None
+        self._helper: NoiseHelper | None = None
 
     # -- pipeline -----------------------------------------------------------
 
@@ -434,6 +443,10 @@ class SensingDapp:
             self.machine.step(SubEvent.TRANSPORT_LOST)
 
     def start(self) -> None:
+        # Spawned before this thread is pinned, then moved off the loop CPU.
+        max_samples = max((cfg.samples_per_burst for cfg in self.waveform_table.values()),
+                          default=0)
+        self._helper = self.ru.start_helper(max_samples, spare_cpus())
         share_loop_cpu()
         self._thread = threading.Thread(target=self.run, name="sensing-dapp", daemon=True)
         self._thread.start()
@@ -442,12 +455,15 @@ class SensingDapp:
         self.channel.close()
         if self._thread is not None:
             self._thread.join(5.0)
+        if self._helper is not None:
+            self._helper.close()
 
     def counters(self) -> dict:
         """Every failure this side counted, as ``summary.json`` writes it."""
         return {
             "dropped_blocks": self.dropped_blocks,
             "late_bursts": self.late_bursts,
+            "local_noise_draws": self.ru.local_draws,
             "refused_commands": self.refused_commands,
             "decode_errors": dict(self.decode_errors),
             "burst_errors": dict(self.burst_errors),

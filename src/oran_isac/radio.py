@@ -14,6 +14,10 @@ estimators can be verified against exact values.
 the scene, keeps one echo per waveform, beam and SIC state, raises the SI
 level when SIC is off and seeds each burst's noise. It answers a burst request
 with the block's encoded fronthaul metadata and its samples, as an RU would.
+A started RU has a ``NoiseHelper``, a process on the CPUs the DU's loop does
+not use, that draws burst k + 1's raw noise while the DU processes burst k.
+A draw that is not ready is made on the DU, so a burst's bytes never depend on
+where its noise was drawn.
 
 Conventions fixed here and relied on by the estimator:
   delay   = 2 * range / c
@@ -23,12 +27,18 @@ Conventions fixed here and relied on by the estimator:
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import socket
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import noise_helper
 from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig, encode_metadata
 from .schema import json_float, json_int, json_list, load_json, read_document
 
@@ -186,23 +196,28 @@ def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
 
 def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
                 beam: int, beam_table: BeamTable, *,
-                echo: SceneEcho | None = None,
+                echo: SceneEcho | None = None, noise: np.ndarray | None = None,
                 waveform_id: int = 0, tx_timestamp: int = 0) -> tuple[IqBlock, GroundTruth]:
     """Propagate the probe through the scene as seen on one probing beam.
 
     ``echo`` is a ``scene_echo`` result for the same probe, cfg, scene targets,
     SI level and beam; given, only the noise of ``scene.seed`` is drawn.
+    ``noise`` is that draw made elsewhere, ``standard_normal(2 * len(probe))``
+    of ``default_rng(scene.seed)``; given, nothing is drawn.
     """
     if echo is None:
         echo = scene_echo(probe, cfg, scene, beam, beam_table)
     rx = echo.samples
     if scene.snr_db < math.inf:
-        rng = np.random.default_rng(scene.seed)
+        n = len(rx)
+        if noise is None:
+            # One draw: first half real parts, second half imaginary parts.
+            noise = np.random.default_rng(scene.seed).standard_normal(2 * n)
         noise_power = echo.ref_power / 10.0 ** (scene.snr_db / 10.0)
-        # One draw: first half real parts, second half imaginary parts.
-        draw = rng.standard_normal(2 * len(rx))
-        noise = draw[:len(rx)] + 1j * draw[len(rx):]
-        rx = rx + noise * math.sqrt(noise_power / 2.0)
+        scaled = noise * math.sqrt(noise_power / 2.0)
+        rx = rx.copy()
+        rx.real += scaled[:n]
+        rx.imag += scaled[n:]
 
     meta = SensingMetadata(
         tx_timestamp=tx_timestamp,
@@ -214,18 +229,149 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     return block, echo.truth
 
 
+# How long a helper told to stop may take to exit before it is killed.
+_HELPER_EXIT_S = 0.02
+
+
+class NoiseHelper:
+    """A process that draws each burst's raw noise one burst ahead of the DU.
+
+    The draws land in a shared mapping of two slots, one per seed parity, so
+    no sample crosses the socket: a request names the seed, the draw length
+    and a tag, and the answer repeats the request. The DU never waits:
+    ``take`` reads the answers that have arrived and returns the draw only
+    if it answers the last request sent, so the helper is idle while the DU
+    reads the slot. The next burst's request goes to the other slot. Until
+    the helper says it is ready, and once it has gone, nothing is requested
+    and every ``take`` misses.
+    """
+
+    def __init__(self, proc: subprocess.Popen, sock: socket.socket,
+                 slots: np.ndarray) -> None:
+        self._proc = proc
+        self._sock: socket.socket | None = sock
+        self._slots = slots
+        self.ready = False
+        self._tag = 0
+        self._asked: tuple[int, int, int] | None = None   # the last request sent
+
+    @classmethod
+    def start(cls, max_length: int, cpus: set[int]) -> NoiseHelper | None:
+        """Spawn a helper for draws of up to ``max_length`` and move it onto ``cpus``.
+
+        None, with nothing left running, where there is no CPU to give it, the
+        platform has no shared memory file, or the helper cannot be started
+        or placed.
+        """
+        if not cpus or max_length <= 0 or not hasattr(os, "memfd_create"):
+            return None
+        size = 2 * max_length * 8
+        try:
+            ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        except OSError:
+            return None
+        try:
+            with theirs:
+                mem_fd = os.memfd_create("oran-isac-noise")
+                try:
+                    os.ftruncate(mem_fd, size)
+                    slots = np.frombuffer(mmap.mmap(mem_fd, size), dtype=np.float64)
+                    # A fresh interpreter: a fork would copy this process's pages on write.
+                    proc = subprocess.Popen(
+                        [sys.executable, noise_helper.__file__, str(theirs.fileno()),
+                         str(mem_fd), str(max_length)],
+                        pass_fds=(theirs.fileno(), mem_fd), stdin=subprocess.DEVNULL,
+                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                finally:
+                    os.close(mem_fd)
+        except OSError:
+            ours.close()
+            return None
+        ours.setblocking(False)
+        helper = cls(proc, ours, slots.reshape(2, max_length))
+        try:
+            os.sched_setaffinity(proc.pid, cpus)
+        except OSError:
+            helper.close()
+            return None
+        return helper
+
+    def _gone(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def take(self, seed: int, length: int) -> np.ndarray | None:
+        """The draw of ``length`` for ``seed`` if the helper has made it, else None."""
+        sock, asked, answered = self._sock, self._asked, False
+        while sock is not None:
+            try:
+                msg = sock.recv(noise_helper.REQUEST.size)
+            except BlockingIOError:
+                break
+            except OSError:
+                msg = b""
+            if not msg:
+                self._gone()
+                return None
+            if msg == noise_helper.READY:
+                self.ready = True
+            elif asked is not None and msg == noise_helper.REQUEST.pack(*asked):
+                answered = True
+        if not answered or asked[:2] != (seed, length):
+            return None
+        return self._slots[seed % 2, :length]
+
+    def request(self, seed: int, length: int) -> None:
+        """Ask for the draw of ``length`` for ``seed``; never blocks, and may ask nothing."""
+        sock, self._asked = self._sock, None
+        if (sock is None or not self.ready or not 0 <= seed < 2**64
+                or length > self._slots.shape[1]):
+            return
+        self._tag += 1
+        asked = (seed, length, self._tag)
+        try:
+            sock.send(noise_helper.REQUEST.pack(*asked))
+        except BlockingIOError:
+            return
+        except OSError:
+            self._gone()
+            return
+        self._asked = asked
+
+    def close(self) -> None:
+        """Close the helper's socket, which ends it; kill it if it lingers, then reap it."""
+        self._gone()
+        try:
+            self._proc.wait(_HELPER_EXIT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+
+
 # Residual self-interference when the canceler is switched off: no
 # suppression, SI as strong as the echo.
 _SIC_OFF_SI_DB = 0.0
 
 
 class RadioUnit:
-    """The simulated RU: one scene seen on the beams of one beam table."""
+    """The simulated RU: one scene seen on the beams of one beam table.
+
+    ``local_draws`` counts the bursts whose noise was drawn on the caller's
+    CPU: there was no helper, it was booting or gone, or its draw was late.
+    """
 
     def __init__(self, scene: EchoScene, beam_table: BeamTable) -> None:
         self.scene = scene
         self.beam_table = beam_table
         self._echoes: dict[tuple[int, int, bool], SceneEcho] = {}
+        self.helper: NoiseHelper | None = None
+        self.local_draws = 0
+
+    def start_helper(self, max_samples: int, cpus: set[int]) -> NoiseHelper | None:
+        """Give the RU a helper on ``cpus`` for bursts of up to ``max_samples``; its caller closes it."""
+        self.helper = NoiseHelper.start(2 * max_samples, cpus)
+        return self.helper
 
     def burst(self, probe: np.ndarray, cfg: WaveformConfig, meta: SensingMetadata,
               sic_enabled: bool, index: int) -> tuple[bytes, np.ndarray]:
@@ -237,9 +383,18 @@ class RadioUnit:
         key = (meta.waveform_id, meta.beam_index, sic_enabled)
         if key not in self._echoes:
             self._echoes[key] = scene_echo(probe, cfg, scene, meta.beam_index, self.beam_table)
+        noise = None
+        if scene.snr_db < math.inf:
+            length = 2 * len(probe)
+            if self.helper is not None:
+                noise = self.helper.take(scene.seed, length)
+                # The next burst's draw overlaps this one's DSP on the DU.
+                self.helper.request(scene.seed + 1, length)
+            if noise is None:
+                self.local_draws += 1
         block, _ = apply_scene(probe, cfg, scene, meta.beam_index, self.beam_table,
-                               echo=self._echoes[key], waveform_id=meta.waveform_id,
-                               tx_timestamp=meta.tx_timestamp)
+                               echo=self._echoes[key], noise=noise,
+                               waveform_id=meta.waveform_id, tx_timestamp=meta.tx_timestamp)
         return encode_metadata(block.metadata), block.samples
 
 

@@ -38,6 +38,11 @@ _log = logging.getLogger(__name__)
 # logs that its loops run unpinned once, not once per thread.
 _unpinned_noted = threading.Lock()
 
+# The CPUs this process may run on, read at import: once a stack has pinned
+# the thread that started it, that thread's own mask names the loop CPU alone.
+_PROCESS_CPUS = (frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else frozenset())
+
 
 class TransportError(Exception):
     pass
@@ -291,3 +296,13 @@ def share_loop_cpu() -> None:
         reason = "the platform has no sched_setaffinity"
     if _unpinned_noted.acquire(blocking=False):
         _log.warning("loop threads run unpinned: %s", reason)
+
+
+def spare_cpus() -> set[int]:
+    """The CPUs this process may run on other than the one ``share_loop_cpu`` pins to.
+
+    Empty where the platform cannot pin, or the process has one CPU only.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return set()
+    return set(_PROCESS_CPUS - {min(os.sched_getaffinity(0))})

@@ -61,6 +61,7 @@ from oran_isac.radio import (
     apply_scene,
     generate_probe,
 )
+from oran_isac import transport
 from oran_isac.transport import Timeout, channel_pair
 from virtual import ScriptedEnd, VirtualClock, peer_scripts
 
@@ -799,6 +800,48 @@ class TestRadioUnitSeam:
         assert dapp.config.active_beam == 0
         assert report.beam_index == 1
         assert report.aoa_azimuth_deg == BEAMS.direction(1)[0] == 15.0
+
+
+class TestNoiseHelperLifetime:
+    """A started dApp's RU draws noise in a helper process that ``stop()`` ends."""
+
+    def test_stop_reaps_the_helper(self):
+        dapp, xapp = small_stack(period_ms=5.0)
+        try:
+            if dapp._helper is None:
+                pytest.skip("no spare CPU or no shared memory file for a helper")
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=5.0)
+            xapp.await_report(5, timeout=2.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        proc = dapp._helper._proc
+        assert proc.returncode is not None
+        with pytest.raises(ProcessLookupError):
+            os.kill(proc.pid, 0)
+        assert dapp.counters()["local_noise_draws"] == dapp.ru.local_draws <= \
+            dapp.sequence_number
+
+    def test_a_stack_stopped_while_its_helper_boots_writes_nothing(self, capfd):
+        for _ in range(3):
+            dapp, xapp = small_stack()
+            xapp.stop()
+            dapp.stop()
+            assert dapp._helper is None or dapp._helper._proc.returncode is not None
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_one_cpu_process_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(transport, "_PROCESS_CPUS", frozenset({0}))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        dapp, xapp = small_stack(period_ms=5.0)
+        try:
+            assert dapp._helper is None and dapp.ru.helper is None
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=5.0)
+            xapp.await_report(3, timeout=2.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert dapp.counters()["local_noise_draws"] == dapp.sequence_number >= 3
 
 
 def test_first_burst_does_not_load_masked_arrays():

@@ -302,8 +302,8 @@ class TestExperimentB:
         assert dapp.refused_commands == 0
 
 
-DAPP_COUNTERS = {"dropped_blocks", "late_bursts", "refused_commands", "decode_errors",
-                 "burst_errors", "unexpected_frames", "protocol_violations",
+DAPP_COUNTERS = {"dropped_blocks", "late_bursts", "local_noise_draws", "refused_commands",
+                 "decode_errors", "burst_errors", "unexpected_frames", "protocol_violations",
                  "transport_drops"}
 XAPP_COUNTERS = {"late_replies", "decode_errors", "unexpected_replies",
                  "unexpected_frames", "transport_drops"}

@@ -1,16 +1,19 @@
 """Monostatic simulator tests: probe generation, scene application, ground truth."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oran_isac.harness import default_waveform
-from oran_isac.ofh import BeamTable, WaveformConfig
+from oran_isac.ofh import BeamTable, SensingMetadata, WaveformConfig
 from oran_isac.radio import (
     SPEED_OF_LIGHT,
     DelayExceedsBurst,
     EchoScene,
+    RadioUnit,
     Target,
     apply_scene,
     beam_gain,
@@ -21,6 +24,7 @@ from oran_isac.radio import (
     load_scene,
     scene_from_dict,
 )
+from oran_isac.transport import spare_cpus
 
 
 def make_cfg(fft_size=64, cp_length=16, num_symbols=4, bandwidth=None,
@@ -256,3 +260,108 @@ def test_load_scene_malformed(tmp_path, text):
 def test_scene_seed_error_names_the_field():
     with pytest.raises(SceneParseError, match="scene field 'seed': expected a JSON integer"):
         scene_from_dict({"seed": 3.9})
+
+
+# -- the noise helper ----------------------------------------------------------
+
+HELPER_SCENE = EchoScene(targets=(Target(20.0, 4.0, 0.0), Target(35.0, -2.0, 30.0, 0.5)),
+                         snr_db=15.0, residual_si_power_db=-25.0, seed=21)
+
+
+def helped_ru(cfg, scene=HELPER_SCENE):
+    """A RadioUnit with a started helper, or a skip where the process has no spare CPU."""
+    ru = RadioUnit(scene, BEAMS)
+    helper = ru.start_helper(cfg.samples_per_burst, spare_cpus())
+    if helper is None:
+        pytest.skip("no spare CPU or no shared memory file for a helper")
+    return ru, helper
+
+
+def await_ready(helper):
+    deadline = time.monotonic() + 10.0
+    while not helper.ready and time.monotonic() < deadline:
+        helper.take(0, 0)  # reads the helper's messages, asks for nothing
+        time.sleep(0.005)
+    assert helper.ready
+
+
+def burst(ru, cfg, probe, index, beam=0, sic=True):
+    header, samples = ru.burst(probe, cfg, SensingMetadata(beam_index=beam, sensing_flag=True),
+                               sic, index)
+    return header + samples.tobytes()
+
+
+class TestNoiseHelper:
+    """A burst is the same bytes whether its noise was drawn by the helper or on the DU."""
+
+    def test_helped_bursts_match_local_ones_across_a_beam_switch_and_sic_off(self):
+        cfg = make_cfg()
+        _, probe = generate_probe(cfg)
+        plain = RadioUnit(HELPER_SCENE, BEAMS)
+        ru, helper = helped_ru(cfg)
+        try:
+            await_ready(helper)
+            for k in range(60):
+                beam, sic = (0, True) if k < 20 else (1, True) if k < 40 else (1, False)
+                assert burst(ru, cfg, probe, k, beam, sic) == burst(plain, cfg, probe, k,
+                                                                    beam, sic)
+                time.sleep(0.002)  # the DU's DSP would run here
+        finally:
+            helper.close()
+        assert plain.local_draws == 60
+        # The first burst after "ready" has nothing asked for yet; a loaded
+        # host may make a few more draws late.
+        assert 1 <= ru.local_draws <= 30
+
+    def test_misses_draw_the_same_bytes_and_are_counted(self):
+        cfg, other = make_cfg(), make_cfg(num_symbols=8)
+        _, probe = generate_probe(cfg)
+        _, other_probe = generate_probe(other)
+        plain = RadioUnit(HELPER_SCENE, BEAMS)
+        ru, helper = helped_ru(other)
+        try:
+            # Booting: nothing is asked for until the helper is ready.
+            assert burst(ru, cfg, probe, 0) == burst(plain, cfg, probe, 0)
+            assert (helper.ready, ru.local_draws) == (False, 1)
+            await_ready(helper)
+            for k in range(1, 6):
+                assert burst(ru, cfg, probe, k) == burst(plain, cfg, probe, k)
+                time.sleep(0.01)
+            hits = 6 - ru.local_draws
+            assert hits >= 1
+            # Another length: the draw asked for is of the old one.
+            before = ru.local_draws
+            assert burst(ru, other, other_probe, 6) == burst(plain, other, other_probe, 6)
+            assert ru.local_draws == before + 1
+            # A helper killed mid-run: every later draw is local.
+            helper._proc.kill()
+            helper._proc.wait()
+            before = ru.local_draws
+            for k in range(7, 12):
+                assert burst(ru, cfg, probe, k) == burst(plain, cfg, probe, k)
+            assert ru.local_draws == before + 5
+        finally:
+            helper.close()
+
+    def test_a_seed_the_generator_refuses_is_never_sent(self):
+        cfg = make_cfg()
+        _, probe = generate_probe(cfg)
+        ru, helper = helped_ru(cfg, replace(HELPER_SCENE, seed=-3))
+        try:
+            await_ready(helper)
+            for k in range(3):
+                with pytest.raises(ValueError):  # from the DU's own draw
+                    burst(ru, cfg, probe, k)
+            time.sleep(0.05)
+            # Burst 2 asked for seed 0, the first one the helper may draw.
+            plain = RadioUnit(replace(HELPER_SCENE, seed=-3), BEAMS)
+            assert burst(ru, cfg, probe, 3) == burst(plain, cfg, probe, 3)
+        finally:
+            helper.close()
+        assert ru.local_draws == 3
+
+    def test_close_reaps_the_helper(self):
+        ru, helper = helped_ru(make_cfg())
+        helper.close()
+        assert helper._proc.returncode is not None
+        assert helper.take(0, 0) is None
