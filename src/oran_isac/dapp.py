@@ -254,8 +254,9 @@ class SensingDapp:
     An undecodable frame is counted by kind in ``decode_errors`` and dropped,
     and a frame of a type the dApp does not serve (an indication, a control
     ack or a subscription response) by type in ``unexpected_frames``.
-    A burst that raises, say on a scene no burst can carry, is counted by kind
-    in ``burst_errors`` and closes the subscription; the thread keeps serving.
+    A burst that raises, say on a scene no burst can carry, or a probe that
+    cannot be built for the subscribed waveform, is counted by kind in
+    ``burst_errors`` and closes the subscription; the thread keeps serving.
     Every subscription request gets the machine's answer; a refused one, such
     as a second one while one is active, gets ``accepted=False`` and id 0.
     A slot the loop overran, so that the next burst follows after the short
@@ -381,13 +382,27 @@ class SensingDapp:
 
     # -- run loop -----------------------------------------------------------
 
+    def _close_failed(self, error: Exception, what: str) -> None:
+        """Count a failed burst or probe build by kind, log it and close the subscription.
+
+        Called from an ``except`` block, so the log carries the traceback.
+        """
+        self.burst_errors[type(error).__name__] += 1
+        _log.exception("%s failed; subscription closed", what)
+        self.machine.step(SubEvent.CLOSE)
+
+    def _build_probe(self) -> None:
+        """Build the subscribed waveform's probe, if not yet built, before its first burst."""
+        try:
+            self._probe(self.config.waveform_id)
+        except Exception as e:
+            self._close_failed(e, f"probe for waveform {self.config.waveform_id}")
+
     def _emit(self) -> None:
         try:
             report = self.sense_once()
         except Exception as e:
-            self.burst_errors[type(e).__name__] += 1
-            _log.exception("burst %d failed; subscription closed", self.sequence_number + 1)
-            self.machine.step(SubEvent.CLOSE)
+            self._close_failed(e, f"burst {self.sequence_number + 1}")
             return
         if self.machine.mode == SubscriptionMode.EVENT:
             if not evaluate_triggers(report, self.prev_report, self.trigger):
@@ -413,7 +428,9 @@ class SensingDapp:
         period. Every pass reads the channel, if only to poll it, so no
         period, however short, starves inbound control. Deadlines are
         integer nanoseconds of ``self.clock``: a float of an epoch-anchored
-        count keeps only about 256 ns of precision.
+        count keeps only about 256 ns of precision. An accepted subscription
+        takes its first deadline, then builds its waveform's probe, so that
+        build runs inside the first period instead of before the first burst.
         """
         next_deadline = self.clock.now_ns() + self._period_ns()
         try:
@@ -437,6 +454,10 @@ class SensingDapp:
                     # A new subscription or period starts its cadence from
                     # the frame, not the old deadline grid.
                     next_deadline = self.clock.now_ns() + self._period_ns()
+                    # After the deadline is taken, so a cold build (the first
+                    # imports numpy.random) runs inside the wait for it.
+                    if self.machine.state == SubState.ACTIVE:
+                        self._build_probe()
         except Disconnected:
             pass
         finally:

@@ -61,7 +61,7 @@ from oran_isac.radio import (
     apply_scene,
     generate_probe,
 )
-from oran_isac import transport
+from oran_isac import dapp as dapp_module, transport
 from oran_isac.transport import Timeout, channel_pair
 from virtual import ScriptedEnd, VirtualClock, peer_scripts
 
@@ -361,11 +361,11 @@ class SlowRadio:
         return self.ru.burst(*request)
 
 
-def virtual_dapp(script, end_ms, burst_ms=0.0):
+def virtual_dapp(script, end_ms, burst_ms=0.0, config=None):
     """A dApp whose peer is ``script``, each burst taking ``burst_ms`` of virtual time."""
     clock = VirtualClock()
     end = ScriptedEnd(clock, script, round(end_ms * MS))
-    dapp = SensingDapp(DappConfig(), {0: SMALL_CFG}, BEAMS, SMALL_SCENE, end, clock)
+    dapp = SensingDapp(config or DappConfig(), {0: SMALL_CFG}, BEAMS, SMALL_SCENE, end, clock)
     dapp.ru = SlowRadio(dapp.ru, clock, round(burst_ms * MS))
     return dapp, end
 
@@ -418,6 +418,42 @@ class TestRunLoop:
         assert [r.sequence_number for _, r in reports] == list(range(1, len(reports) + 1))
         assert sent(end, MsgType.CONTROL_ACK) == [(455 * MS, ControlAckPayload(455 * MS,
                                                                                455 * MS))]
+
+    @pytest.mark.parametrize("build_ms, times, late", [
+        (4, range(10, 100, 10), 0),
+        (25, (25, *range(26, 100, 10)), 1),
+    ], ids=["shorter-than-the-period", "longer-than-the-period"])
+    def test_the_probe_is_built_inside_the_first_period(self, monkeypatch, build_ms, times,
+                                                        late):
+        """A probe build of ``build_ms`` on a 10 ms period starts at the subscription.
+
+        A shorter build is hidden by the wait for the first deadline; after a
+        longer one the first burst follows at once and counts as late.
+        """
+        dapp, end = virtual_dapp([(0, subscribe_frame(1, 10.0))], end_ms=100.0)
+        build = dapp_module.generate_probe
+
+        def slow_build(*args, **kwargs):
+            end.clock.advance_to(end.clock.t + build_ms * MS)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(dapp_module, "generate_probe", slow_build)
+        dapp.run()
+        assert [t for t, _ in sent(end, MsgType.INDICATION)] == [k * MS for k in times]
+        assert dapp.late_bursts == late
+
+    def test_a_probe_that_cannot_be_built_closes_the_subscription_at_accept(self):
+        """An unknown subscribed waveform is counted and closed at 0 ms, not at the deadline."""
+        dapp, end = virtual_dapp(
+            [(0, subscribe_frame(1, 10.0)),
+             (2 * MS, control_frame(2, CommandKind.SET_SIC, sic_enabled=False))],
+            end_ms=5.0, config=DappConfig(waveform_id=7))
+        dapp.run()
+        assert dapp.burst_errors == Counter(UnknownWaveformId=1)
+        assert dapp.machine.state == SubState.CLOSED
+        assert dapp.machine.violations == []
+        assert sent(end, MsgType.INDICATION) == []
+        assert sent(end, MsgType.CONTROL_ACK) == [(2 * MS, ControlAckPayload(2 * MS, 2 * MS))]
 
     def test_event_mode_fires_on_appearance(self):
         scene = EchoScene(targets=(Target(20.0, 0.0, 0.0),), snr_db=30.0)

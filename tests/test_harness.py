@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,17 @@ class TestCounters:
         assert set(doc["dapp_counters"]) == DAPP_COUNTERS
         assert set(doc["xapp_counters"]) == XAPP_COUNTERS
         assert doc["dapp_counters"]["decode_errors"] == {}
+
+    @pytest.mark.parametrize("run", [run_experiment_a, run_experiment_b])
+    def test_a_run_records_its_cold_first_report(self, tmp_path, run):
+        """The first deadline lies one 10 ms period after the dApp accepts."""
+        cfg = small_config(schedule_ms=(10.0,), segment_duration_s=0.3, num_probes=5,
+                           out_dir=tmp_path / "run")
+        summary = run(cfg)
+        doc = json.loads((tmp_path / "run" / "summary.json").read_text())
+        first = doc["metadata"]["first_report_ms"]
+        assert first == summary.metadata["first_report_ms"]
+        assert math.isfinite(first) and first >= 10.0
 
 
 class TestSensingAccuracy:

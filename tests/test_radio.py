@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oran_isac.harness import default_waveform
-from oran_isac.ofh import BeamTable, SensingMetadata, WaveformConfig
+from oran_isac.harness import default_beam_table, default_waveform
+from oran_isac.ofh import BeamTable, SensingMetadata, WaveformConfig, encode_metadata
 from oran_isac.radio import (
     SPEED_OF_LIGHT,
     DelayExceedsBurst,
@@ -197,6 +197,24 @@ class TestApplyScene:
         assert block.metadata.beam_index == 1
         assert block.metadata.waveform_id == 5
         assert block.metadata.tx_timestamp == 1234
+
+    def test_a_burst_on_cached_target_echoes_is_the_bytes_of_a_fresh_scene(self):
+        """Each beam and SIC state's burst, summed from per-target echoes built once,
+        is ``apply_scene``'s bytes. The second target, at 37 degrees, sits between beams.
+        """
+        cfg = default_waveform()
+        _, probe = generate_probe(cfg)
+        beams = default_beam_table()
+        scene = EchoScene(targets=(Target(45.0, 10.0, 0.0), Target(72.0, -5.0, 37.0, 0.5)),
+                          snr_db=20.0, residual_si_power_db=-20.0, seed=5)
+        ru = RadioUnit(scene, beams)
+        visits = [(beam, sic) for sic in (True, False) for beam in beams.entries]
+        for k, (beam, sic) in enumerate(visits):
+            fresh = replace(scene, seed=scene.seed + k,
+                            residual_si_power_db=-20.0 if sic else 0.0)
+            block, _ = apply_scene(probe, cfg, fresh, beam, beams)
+            assert burst(ru, cfg, probe, k, beam, sic) == (
+                encode_metadata(block.metadata) + block.samples.tobytes())
 
 
 class TestBeamGain:
