@@ -220,7 +220,6 @@ class XApp:
         self.reports: list[ReceivedReport] = []
         self.samples: list[LatencySample] = []
         self.subscription_id: int | None = None
-        self.subscribed_ns: int | None = None
         self.current_period_ms: float | None = None
         self._corr = itertools.count(1)
         # Correlation ids still awaited, each with its reply once it arrives.
@@ -331,19 +330,13 @@ class XApp:
     def subscribe(self, mode: SubscriptionMode, *, period_ms: float = 0.0,
                   trigger: TriggerConfig = TriggerConfig(),
                   timeout: float = 5.0) -> int:
-        """Negotiate a subscription; returns the allocated subscription id.
-
-        ``subscribed_ns`` keeps the clock stamp taken just before an accepted
-        request was sent: the dApp accepted it after that instant.
-        """
+        """Negotiate a subscription; returns the allocated subscription id."""
         request = SubscriptionRequestPayload(mode, period_ms=period_ms, trigger=trigger)
         self._enforce(request)
-        issued = self.clock.now_ns()
         response = self._request(MsgType.SUBSCRIPTION_REQUEST, request, timeout)
         if not response.accepted:
             raise SubscriptionRefused(f"subscription {response.subscription_id} refused")
         self.subscription_id = response.subscription_id
-        self.subscribed_ns = issued
         if mode == SubscriptionMode.PERIODIC:
             self.current_period_ms = period_ms
         return self.subscription_id

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .clock import SharedClock
 from .control import A1IsacPolicy, XApp, policy_from_dict
 from .dapp import DappConfig, SensingDapp, evaluate_triggers
 from .e2sm import MAX_PERIOD_MS, SubscriptionMode, TriggerConfig, valid_period
@@ -148,12 +147,13 @@ def _write_run(out_dir: Path | None, summary: dict, tables: dict[str, list[str]]
 
 @contextmanager
 def _subscribed_stack(cfg: ExperimentConfig, period_ms: float
-                      ) -> Iterator[tuple[SensingDapp, XApp, SharedClock, dict[str, dict]]]:
+                      ) -> Iterator[tuple[SensingDapp, XApp, int, dict[str, dict]]]:
     """Run a dApp and an xApp on one channel pair, subscribed at ``period_ms``.
 
-    Yields ``(dapp, xapp, clock, counters)``. ``clock`` is the dApp's; every
-    ``SharedClock`` reads the same time, so the xApp's agrees with it. The
-    xApp, then the dApp, stop on the way out, a refused subscribe too; once
+    Yields ``(dapp, xapp, subscribed_ns, counters)``. ``subscribed_ns`` is
+    ``dapp.clock``'s reading just before the subscription request was sent;
+    every ``SharedClock`` reads the same time, so the xApp's agrees with it.
+    The xApp, then the dApp, stop on the way out, a refused subscribe too; once
     both have stopped, ``counters`` holds each side's failure counters under
     ``"dapp"`` and ``"xapp"``. A scene no burst can carry starts nothing.
     """
@@ -173,25 +173,27 @@ def _subscribed_stack(cfg: ExperimentConfig, period_ms: float
     xapp.start()
     counters: dict[str, dict] = {}
     try:
+        subscribed_ns = dapp.clock.now_ns()
         xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=period_ms)
-        yield dapp, xapp, dapp.clock, counters
+        yield dapp, xapp, subscribed_ns, counters
     finally:
         xapp.stop()
         dapp.stop()
         counters.update(dapp=dapp.counters(), xapp=xapp.counters())
 
 
-def _first_report_ms(xapp: XApp) -> float | None:
-    """Clock ms from the accepted subscription's request to the first INDICATION's t1.
+def _first_report_ms(xapp: XApp, subscribed_ns: int) -> float | None:
+    """Clock ms from just before the subscription request to the first INDICATION's t1.
 
     The dApp takes its first deadline one period after it accepts, and builds
     the subscribed probe inside that period, so this is the period plus
-    whatever of the cold first burst the period did not hide. None without a
-    report.
+    whatever of the cold first burst the period did not hide. perfbench's
+    ``harness.setup.first_report`` span is shorter: it starts once
+    ``subscribe()`` has returned. None without a report.
     """
     if not xapp.reports:
         return None
-    return (xapp.reports[0].t1_ns - xapp.subscribed_ns) / 1e6
+    return (xapp.reports[0].t1_ns - subscribed_ns) / 1e6
 
 
 def _dapp_drops(counters: dict[str, dict]) -> int:
@@ -203,7 +205,8 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
     """Periodicity control: execute the period schedule and score each segment."""
     if not cfg.schedule_ms:
         raise SetupFailure("empty period schedule")
-    with _subscribed_stack(cfg, cfg.schedule_ms[0]) as (_, xapp, clock, counters):
+    with _subscribed_stack(cfg, cfg.schedule_ms[0]) as (dapp, xapp, subscribed_ns, counters):
+        clock = dapp.clock
         boundaries = [(clock.now_ns(), cfg.schedule_ms[0])]  # (clock ns, target period)
         for target in cfg.schedule_ms[1:]:
             time.sleep(cfg.segment_duration_s)
@@ -255,7 +258,7 @@ def run_experiment_a(cfg: ExperimentConfig) -> ExperimentSummary:
             "segment_duration_s": cfg.segment_duration_s,
             "transport": cfg.transport.value,
             "sequence_gaps": gaps,
-            "first_report_ms": _first_report_ms(xapp),
+            "first_report_ms": _first_report_ms(xapp, subscribed_ns),
         },
     )
     _write_run(cfg.out_dir, summary.to_dict(), {"interarrival": [
@@ -272,7 +275,7 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
     current value. The refresh leaves the report schedule alone, so
     ``num_probes`` probes take about ``num_probes * probe_period_ms``.
     """
-    with _subscribed_stack(cfg, cfg.probe_period_ms) as (_, xapp, _, counters):
+    with _subscribed_stack(cfg, cfg.probe_period_ms) as (_, xapp, subscribed_ns, counters):
         samples = [xapp.closed_loop_probe() for _ in range(cfg.num_probes)]
 
     telemetry = [s.telemetry_latency_ns / 1e6 for s in samples]
@@ -292,7 +295,7 @@ def run_experiment_b(cfg: ExperimentConfig) -> ExperimentSummary:
             "experiment": "closed-loop-latency",
             "probe_period_ms": cfg.probe_period_ms,
             "transport": cfg.transport.value,
-            "first_report_ms": _first_report_ms(xapp),
+            "first_report_ms": _first_report_ms(xapp, subscribed_ns),
         },
     )
     _write_run(cfg.out_dir, summary.to_dict(), {

@@ -5,18 +5,14 @@ target scene to it in two steps. ``scene_echo`` builds the noise-free burst
 seen on one beam: per-target round-trip delay (fractional, frequency-domain),
 two-way Doppler rotation, beam-pattern gain and residual self-interference as
 an attenuated zero-delay copy. It depends on the probe, the scene's targets
-and SI level and the beam, never on the scene's seed. Its two halves are
-``target_echoes``, each target's delayed and Doppler-rotated probe, which
-depends on the probe and the targets only, and ``beam_echo``, which sums them
-with the beam's gains and adds the SI copy. ``apply_scene`` adds white
-Gaussian noise, calibrated to the strongest echo and drawn from the scene's
-seed, to that echo. Ground truth rides along with every block so estimators
-can be verified against exact values.
+and SI level and the beam, never on the scene's seed. ``apply_scene`` adds
+white Gaussian noise, calibrated to the strongest echo and drawn from the
+scene's seed, to that echo. Ground truth rides along with every block so
+estimators can be verified against exact values.
 
 ``RadioUnit`` is the one place that decides how a burst is simulated: it holds
-the scene, keeps the target echoes per waveform and one echo per waveform,
-beam and SIC state, so a new beam or SIC state costs one scaled sum, raises
-the SI level when SIC is off and seeds each burst's noise. It answers a burst request
+the scene, keeps one echo per waveform, beam and SIC state, raises the SI
+level when SIC is off and seeds each burst's noise. It answers a burst request
 with the block's encoded fronthaul metadata and its samples, as an RU would.
 A started RU has a ``NoiseHelper``, a process on the CPUs the DU's loop does
 not use, that draws burst k + 1's raw noise while the DU processes burst k.
@@ -165,42 +161,26 @@ def check_targets_fit(targets: tuple[Target, ...], cfg: WaveformConfig) -> None:
             )
 
 
-@dataclass(frozen=True)
-class TargetEchoes:
-    """Each scene target's echo of one probe at unit power, in scene order."""
-
-    echoes: tuple[np.ndarray, ...]   # delayed and Doppler-rotated probes; read-only
-    truth: GroundTruth
-
-
-def target_echoes(probe: np.ndarray, cfg: WaveformConfig,
-                  targets: tuple[Target, ...]) -> TargetEchoes:
-    """Delay and Doppler-rotate the probe once per target; no beam, gain or SI."""
-    check_targets_fit(targets, cfg)
+def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
+               beam: int, beam_table: BeamTable) -> SceneEcho:
+    """Propagate the probe through the scene's targets on one beam, without noise."""
+    check_targets_fit(scene.targets, cfg)
     fs = cfg.sample_rate
+    beam_az, _ = beam_table.direction(beam)
+
+    delays, dopplers = [], []
+    rx = np.zeros_like(probe)
     n = np.arange(len(probe))
-    echoes, delays, dopplers = [], [], []
-    for t in targets:
+    echo_powers = []
+    for t in scene.targets:
         delay = t.delay_s
         doppler = t.doppler_hz(cfg.carrier_frequency)
+        power = t.amplitude * beam_gain(t.azimuth_deg, beam_az)
         echo = _fractional_delay(probe, delay * fs)
         echo = echo * np.exp(2j * np.pi * doppler * n / fs)
-        echo.flags.writeable = False
-        echoes.append(echo)
+        rx = rx + math.sqrt(power) * echo
         delays.append(delay)
         dopplers.append(doppler)
-    return TargetEchoes(tuple(echoes), GroundTruth(tuple(delays), tuple(dopplers)))
-
-
-def beam_echo(probe: np.ndarray, units: TargetEchoes, scene: EchoScene,
-              beam: int, beam_table: BeamTable) -> SceneEcho:
-    """Sum ``units``, the echoes of ``scene``'s targets, as seen on one beam, plus the SI copy."""
-    beam_az, _ = beam_table.direction(beam)
-    rx = np.zeros_like(probe)
-    echo_powers = []
-    for t, echo in zip(scene.targets, units.echoes):
-        power = t.amplitude * beam_gain(t.azimuth_deg, beam_az)
-        rx = rx + math.sqrt(power) * echo
         echo_powers.append(power)
 
     ref_power = max(echo_powers) if echo_powers else 1.0
@@ -211,13 +191,7 @@ def beam_echo(probe: np.ndarray, units: TargetEchoes, scene: EchoScene,
 
     # Shared by every burst built on it: nobody may write to it.
     rx.flags.writeable = False
-    return SceneEcho(rx, ref_power, units.truth)
-
-
-def scene_echo(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
-               beam: int, beam_table: BeamTable) -> SceneEcho:
-    """Propagate the probe through the scene's targets on one beam, without noise."""
-    return beam_echo(probe, target_echoes(probe, cfg, scene.targets), scene, beam, beam_table)
+    return SceneEcho(rx, ref_power, GroundTruth(tuple(delays), tuple(dopplers)))
 
 
 def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
@@ -390,7 +364,6 @@ class RadioUnit:
     def __init__(self, scene: EchoScene, beam_table: BeamTable) -> None:
         self.scene = scene
         self.beam_table = beam_table
-        self._units: dict[int, TargetEchoes] = {}
         self._echoes: dict[tuple[int, int, bool], SceneEcho] = {}
         self.helper: NoiseHelper | None = None
         self.local_draws = 0
@@ -409,10 +382,7 @@ class RadioUnit:
                                                             _SIC_OFF_SI_DB))
         key = (meta.waveform_id, meta.beam_index, sic_enabled)
         if key not in self._echoes:
-            if meta.waveform_id not in self._units:
-                self._units[meta.waveform_id] = target_echoes(probe, cfg, scene.targets)
-            self._echoes[key] = beam_echo(probe, self._units[meta.waveform_id], scene,
-                                          meta.beam_index, self.beam_table)
+            self._echoes[key] = scene_echo(probe, cfg, scene, meta.beam_index, self.beam_table)
         noise = None
         if scene.snr_db < math.inf:
             length = 2 * len(probe)

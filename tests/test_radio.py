@@ -198,8 +198,8 @@ class TestApplyScene:
         assert block.metadata.waveform_id == 5
         assert block.metadata.tx_timestamp == 1234
 
-    def test_a_burst_on_cached_target_echoes_is_the_bytes_of_a_fresh_scene(self):
-        """Each beam and SIC state's burst, summed from per-target echoes built once,
+    def test_every_beam_and_sic_state_of_a_radio_unit_is_the_bytes_of_a_fresh_scene(self):
+        """Each beam and SIC state's burst from one RU, which keeps an echo per key,
         is ``apply_scene``'s bytes. The second target, at 37 degrees, sits between beams.
         """
         cfg = default_waveform()
