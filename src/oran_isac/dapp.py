@@ -44,7 +44,7 @@ from .radio import SPEED_OF_LIGHT, EchoScene, NoiseHelper, RadioUnit, generate_p
 # Never called: perfbench/selftest.py checks that a traced run wraps
 # dapp.apply_scene. It goes once that check reads radio's (ROADMAP item 4).
 from .radio import apply_scene  # noqa: F401
-from .transport import (Channel, Disconnected, Timeout, send_telemetry, share_loop_cpu,
+from .transport import (Backpressure, Channel, Disconnected, Timeout, share_loop_cpu,
                         spare_cpus)
 
 ECHO_ENERGY = "ECHO_ENERGY"
@@ -411,7 +411,9 @@ class SensingDapp:
         report = report._replace(t0=self.clock.now_ns())
         frame = encode_message(E2SensMessage(
             MsgType.INDICATION, self.machine.subscription_id, report))
-        if not send_telemetry(self.channel, frame):
+        try:
+            self.channel.send(frame, droppable=True)
+        except Backpressure:
             self.dropped_blocks += 1
         self.prev_report = report
 

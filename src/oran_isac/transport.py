@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import logging
 import os
+import select
 import socket
 import struct
 import threading
@@ -66,7 +67,7 @@ class EndpointKind(enum.Enum):
 
 
 class Channel:
-    """One side of a full-duplex frame channel."""
+    """One side of a full-duplex frame channel; over TCP a stalled reader parks its sender."""
 
     def send(self, frame: bytes, droppable: bool = False) -> None:
         raise NotImplementedError
@@ -173,7 +174,13 @@ class InProcChannel(Channel):
 
 
 class TcpChannel(Channel):
-    """Length-prefixed framing over a connected loopback socket."""
+    """Length-prefixed framing over a connected loopback socket, blocking for its whole life.
+
+    A timed ``recv`` waits in ``select.select``, to the microsecond; a
+    descriptor ``select`` refuses (at or above ``FD_SETSIZE``) waits in
+    ``select.poll``, to the millisecond rounded up. A peer that stops reading
+    parks ``send``, a dApp's run loop included, until it reads or an end closes.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
@@ -181,51 +188,47 @@ class TcpChannel(Channel):
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._recv_buf = b""
+        self._poller = None
+        try:
+            select.select([sock], [], [], 0)
+        except ValueError:
+            self._poller = select.poll()
+            self._poller.register(sock, select.POLLIN)
 
     def send(self, frame: bytes, droppable: bool = False) -> None:
         data = _LEN_PREFIX.pack(len(frame)) + frame
         with self._send_lock:
             try:
                 self._sock.sendall(data)
-            except (BrokenPipeError, ConnectionResetError, OSError) as e:
+            except OSError as e:
                 raise Disconnected(str(e)) from e
 
-    def _fill(self, n: int, deadline: float | None) -> None:
-        """Read until the buffer holds ``n`` bytes; a timeout leaves them there.
-
-        Past the deadline it still reads what the socket already holds,
-        without blocking, so ``timeout=0`` polls.
-        """
-        while len(self._recv_buf) < n:
-            if self._sock.fileno() == -1:
-                raise Disconnected("channel closed")
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining < 0:
-                    remaining = 0.0
-            try:
-                # Inside the try: a close from another thread fails settimeout too.
-                self._sock.settimeout(remaining)
-                chunk = self._sock.recv(65536)
-            except (socket.timeout, BlockingIOError):
-                raise Timeout("no frame within deadline") from None
-            except (ConnectionResetError, OSError) as e:
-                raise Disconnected(str(e)) from e
-            if not chunk:
-                raise Disconnected("peer closed connection")
-            self._recv_buf += chunk
+    def _readable(self, wait: float) -> bool:
+        if self._poller is None:
+            return bool(select.select([self._sock], [], [], wait)[0])
+        return bool(self._poller.poll(wait * 1e3))
 
     def recv(self, timeout: float | None = None) -> bytes:
+        """Past the deadline it still reads what the socket holds, so ``timeout=0`` polls."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._recv_lock:
-            # The header stays buffered until its whole frame has arrived.
-            self._fill(_LEN_PREFIX.size, deadline)
-            end = _LEN_PREFIX.size + _LEN_PREFIX.unpack_from(self._recv_buf)[0]
-            self._fill(end, deadline)
-            buf = self._recv_buf
-            self._recv_buf = buf[end:]
-            return buf[_LEN_PREFIX.size:end]
+            while True:
+                buf = self._recv_buf
+                if len(buf) >= _LEN_PREFIX.size:
+                    end = _LEN_PREFIX.size + _LEN_PREFIX.unpack_from(buf)[0]
+                    if len(buf) >= end:
+                        self._recv_buf = buf[end:]
+                        return buf[_LEN_PREFIX.size:end]
+                try:
+                    if deadline is not None and not self._readable(
+                            max(0.0, deadline - time.monotonic())):
+                        raise Timeout("no frame within deadline")
+                    chunk = self._sock.recv(65536)
+                except (OSError, ValueError) as e:  # select raises ValueError once closed
+                    raise Disconnected(str(e)) from e
+                if not chunk:
+                    raise Disconnected("peer closed connection")
+                self._recv_buf = buf + chunk
 
     def close(self) -> None:
         try:
@@ -253,19 +256,6 @@ def channel_pair(kind: EndpointKind = EndpointKind.IN_PROCESS,
     server, _ = listener.accept()
     listener.close()
     return TcpChannel(server), TcpChannel(client)
-
-
-def send_telemetry(channel: Channel, frame: bytes) -> bool:
-    """Send an indication frame under the drop-oldest policy.
-
-    Returns False when the frame itself could not be enqueued (sequence gaps
-    are visible to the subscriber through sequence numbers, never reordering).
-    """
-    try:
-        channel.send(frame, droppable=True)
-        return True
-    except Backpressure:
-        return False
 
 
 def share_loop_cpu() -> None:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -62,7 +63,7 @@ from oran_isac.radio import (
     generate_probe,
 )
 from oran_isac import dapp as dapp_module, transport
-from oran_isac.transport import Timeout, channel_pair
+from oran_isac.transport import EndpointKind, Timeout, channel_pair
 from virtual import ScriptedEnd, VirtualClock, peer_scripts
 
 BEAMS = BeamTable({0: (0.0, 0.0), 1: (15.0, 0.0)})
@@ -696,6 +697,40 @@ class TestRunLoop:
         inter = np.diff([r.t1_ns for r in xapp.reports]) / 1e6
         assert len(inter) >= 19
         assert np.median(inter) < 23.0
+
+    def test_a_stalled_tcp_reader_parks_the_loop_and_does_not_end_it(self):
+        """A peer that stops reading parks the dApp in its send; reading again resumes it."""
+        dapp_end, peer = channel_pair(EndpointKind.TCP)
+        for end in (dapp_end, peer):
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                end._sock.setsockopt(socket.SOL_SOCKET, option, 4096)
+        dapp = SensingDapp(DappConfig(report_period_ms=1.0), {0: SMALL_CFG}, BEAMS,
+                           SMALL_SCENE, dapp_end)
+        dapp.start()
+        try:
+            peer.send(subscribe_frame(1, 1.0))
+            time.sleep(0.8)  # the peer reads nothing
+            parked_at = dapp.sequence_number
+            time.sleep(0.2)
+            stalled_at = dapp.sequence_number
+            assert dapp._thread.is_alive()
+            assert dapp.machine.state == SubState.ACTIVE
+            assert not dapp.burst_errors
+            assert stalled_at == parked_at > 0  # the buffers filled and parked the 1 ms loop
+            seqs = []
+            deadline = time.monotonic() + 2.0
+            while (not seqs or seqs[-1] <= stalled_at + 20) and time.monotonic() < deadline:
+                msg = decode_message(peer.recv(timeout=1.0))
+                if msg.msg_type == MsgType.INDICATION:
+                    seqs.append(msg.payload.sequence_number)
+            assert seqs == list(range(1, len(seqs) + 1))
+            assert seqs[-1] > stalled_at + 20
+        finally:
+            stopping = time.monotonic()
+            dapp.stop()
+            peer.close()
+        assert time.monotonic() - stopping < 2.0
+        assert not dapp._thread.is_alive()
 
 
 @settings(max_examples=300, deadline=None)

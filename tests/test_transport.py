@@ -1,6 +1,10 @@
 """Frame transport contract tests for both channel kinds."""
 
+import fcntl
 import random
+import resource
+import select
+import socket
 import sys
 import threading
 import time
@@ -8,13 +12,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oran_isac import transport
 from oran_isac.transport import (
     Backpressure,
     Disconnected,
     EndpointKind,
+    TcpChannel,
     Timeout,
     channel_pair,
-    send_telemetry,
 )
 
 KINDS = [EndpointKind.IN_PROCESS, EndpointKind.TCP]
@@ -160,7 +165,7 @@ class TestBackpressure:
     def test_control_survives_telemetry_flood(self):
         a, b = channel_pair(EndpointKind.IN_PROCESS, outbox_bound=8)
         for i in range(32):
-            assert send_telemetry(a, b"telemetry%d" % i) or True
+            a.send(b"telemetry%d" % i, droppable=True)
         a.send(b"control", droppable=False)
         frames = []
         while True:
@@ -173,7 +178,7 @@ class TestBackpressure:
     def test_drops_never_reorder(self):
         a, b = channel_pair(EndpointKind.IN_PROCESS, outbox_bound=16)
         for i in range(200):
-            send_telemetry(a, i.to_bytes(4, "big"))
+            a.send(i.to_bytes(4, "big"), droppable=True)
         seen = []
         while True:
             try:
@@ -221,6 +226,92 @@ def test_tcp_timeout_in_the_middle_of_a_frame_keeps_the_stream():
     finally:
         a.close()
         b.close()
+
+
+def test_tcp_send_after_a_timed_out_recv_blocks_on_a_stalled_reader():
+    """A receive's deadline stays out of the send: a full buffer parks it until close."""
+    a, b = channel_pair(EndpointKind.TCP)
+    sent, errors = [], []
+
+    def sender():
+        try:
+            while True:
+                a.send(bytes(120))
+                sent.append(1)
+        except Disconnected as e:
+            errors.append(e)
+
+    with pytest.raises(Timeout):
+        a.recv(timeout=0.002)
+    t = threading.Thread(target=sender, daemon=True)
+    t.start()
+    t.join(0.5)
+    try:
+        assert t.is_alive(), f"send raised {errors} after {len(sent)} frames"
+        assert not errors
+    finally:
+        a.close()
+        b.close()
+        t.join(2.0)
+    assert not t.is_alive()
+
+
+def test_tcp_timed_recv_waits_in_select_for_the_time_left(monkeypatch):
+    waits = []
+    real_select = select.select
+
+    def recording_select(rlist, wlist, xlist, timeout):
+        waits.append(timeout)
+        return real_select(rlist, wlist, xlist, timeout)
+
+    a, b = channel_pair(EndpointKind.TCP)
+    monkeypatch.setattr(transport.select, "select", recording_select)
+    try:
+        with pytest.raises(Timeout):
+            b.recv(timeout=0.0041)
+        assert len(waits) == 1 and 0.004 < waits[0] <= 0.0041
+        assert b._sock.gettimeout() is None
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.fixture
+def high_fd_pair():
+    """A TCP pair whose side A sits on a descriptor at or above 1500, which ``select`` refuses."""
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= 1500:
+        pytest.skip("the open-file limit leaves no descriptor at 1500")
+    a, b = channel_pair(EndpointKind.TCP)
+    high = TcpChannel(socket.socket(fileno=fcntl.fcntl(a._sock.fileno(),
+                                                       fcntl.F_DUPFD_CLOEXEC, 1500)))
+    a._sock.close()  # no shutdown: the duplicate keeps the connection
+    with pytest.raises(ValueError):
+        select.select([high._sock], [], [], 0)
+    yield high, b
+    high.close()
+    b.close()
+
+
+def test_tcp_above_fd_setsize_times_out_and_delivers(high_fd_pair):
+    high, b = high_fd_pair
+    start = time.monotonic()
+    with pytest.raises(Timeout):
+        high.recv(timeout=0.05)
+    assert time.monotonic() - start < 1.0
+    b.send(b"after the timeout")
+    assert high.recv(timeout=1.0) == b"after the timeout"
+    high.send(b"back")
+    assert b.recv(timeout=1.0) == b"back"
+
+
+@pytest.mark.parametrize("timeout", [None, 0, 0.05])
+def test_tcp_above_fd_setsize_recv_on_closed_end_raises_disconnected(high_fd_pair, timeout):
+    high, _ = high_fd_pair
+    high.close()
+    start = time.monotonic()
+    with pytest.raises(Disconnected):
+        high.recv(timeout=timeout)
+    assert time.monotonic() - start < 1.0
 
 
 def test_inproc_one_frame_wakes_one_of_two_parked_readers_and_close_wakes_the_other():
