@@ -349,13 +349,13 @@ class XApp:
                             ControlRequestPayload(kind, issued, **value), timeout)
         return issued, ack
 
-    def set_period(self, period_ms: float, timeout: float = 5.0) -> LatencySample:
-        """Change the reporting period; returns the control-latency sample."""
+    def set_period(self, period_ms: float, timeout: float = 5.0) -> ControlAckPayload:
+        """Change the reporting period; returns the dApp's ack."""
         # Judged unstamped, so the issue stamp leaves the check out.
         self._enforce(ControlRequestPayload(CommandKind.SET_PERIOD, 0, period_ms=period_ms))
-        issued, ack = self._command(CommandKind.SET_PERIOD, timeout, period_ms=period_ms)
+        ack = self._command(CommandKind.SET_PERIOD, timeout, period_ms=period_ms)[1]
         self.current_period_ms = period_ms
-        return LatencySample(-1, issued, issued, issued, ack.applied_at)
+        return ack
 
     def set_beam(self, beam_index: int, timeout: float = 5.0) -> ControlAckPayload:
         """Steer the dApp to a beam whose direction lies in the policy's scope."""

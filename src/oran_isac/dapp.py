@@ -40,12 +40,11 @@ from .e2sm import (
 )
 from .ofh import (BeamTable, IqBlock, SensingMetadata, WaveformConfig, decode_metadata,
                   lookup_waveform)
-from .radio import SPEED_OF_LIGHT, EchoScene, NoiseHelper, RadioUnit, generate_probe
+from .radio import SPEED_OF_LIGHT, EchoScene, RadioUnit, generate_probe
 # Never called: perfbench/selftest.py checks that a traced run wraps
 # dapp.apply_scene. It goes once that check reads radio's (ROADMAP item 4).
 from .radio import apply_scene  # noqa: F401
-from .transport import (Backpressure, Channel, Disconnected, Timeout, share_loop_cpu,
-                        spare_cpus)
+from .transport import Backpressure, Channel, Disconnected, Timeout, share_loop_cpu
 
 ECHO_ENERGY = "ECHO_ENERGY"
 AOA_SHIFT = "AOA_SHIFT"
@@ -259,17 +258,13 @@ class SensingDapp:
     ``burst_errors`` and closes the subscription; the thread keeps serving.
     Every subscription request gets the machine's answer; a refused one, such
     as a second one while one is active, gets ``accepted=False`` and id 0.
-    A slot the loop overran, so that the next burst follows after the short
-    ``_LATE_GAP`` and not on the deadline grid, is counted in ``late_bursts``.
+    A burst that overran its slot is counted in ``late_bursts`` (see ``run``).
 
-    ``start()`` pins the calling thread to the loop CPU before it creates the
-    worker thread, which inherits that CPU (see ``share_loop_cpu``). The
-    caller stays pinned after ``stop()``. Before it pins, ``start()`` gives
-    the RU a noise helper on the other CPUs, if the process has any; ``stop()``
-    ends that process once the thread has joined. ``local_noise_draws``
-    counts the bursts whose noise was drawn on the loop CPU all the same.
-    A dApp that is never started, as ``sense`` uses it, draws all its noise
-    itself.
+    ``start()`` starts the RU, pins the calling thread to the loop CPU and
+    creates the worker thread, which inherits that CPU (see
+    ``share_loop_cpu``); the caller stays pinned after ``stop()``, which
+    closes the RU once the thread has joined. A dApp that is never started,
+    as ``sense`` uses it, never starts its RU.
     """
 
     def __init__(self, config: DappConfig,
@@ -297,7 +292,6 @@ class SensingDapp:
         self.unexpected_frames: Counter[str] = Counter()
         self._probes: dict[int, tuple[WaveformConfig, np.ndarray, np.ndarray]] = {}
         self._thread: threading.Thread | None = None
-        self._helper: NoiseHelper | None = None
 
     # -- pipeline -----------------------------------------------------------
 
@@ -423,24 +417,24 @@ class SensingDapp:
     def run(self) -> None:
         """Serve the channel until it closes: ``stop()`` closing it ends the loop.
 
-        Bursts keep to the report period's deadline grid. A burst that
-        overruns its slot is followed by the next one after a short gap
-        (``_LATE_GAP`` of the period), not a full period later, so the report
-        interval grows with the burst time instead of jumping to twice the
-        period. Every pass reads the channel, if only to poll it, so no
-        period, however short, starves inbound control. Deadlines are
-        integer nanoseconds of ``self.clock``: a float of an epoch-anchored
-        count keeps only about 256 ns of precision. An accepted subscription
-        takes its first deadline, then builds its waveform's probe, so that
-        build runs inside the first period instead of before the first burst.
+        An accepted subscription takes its first deadline, then builds its
+        waveform's probe inside that first period. While it is active, bursts
+        keep to the report period's deadline grid, and a burst that overruns
+        its slot is followed by the next one after ``_LATE_GAP`` of the
+        period, so the report interval grows with the burst time instead of
+        jumping to twice the period; every pass reads the channel, if only to
+        poll it, so no period starves inbound control. With no active
+        subscription there is no deadline: a pass waits for a frame.
+        Deadlines are integer nanoseconds of ``self.clock``, as a float of an
+        epoch-anchored count keeps only about 256 ns of precision.
         """
-        next_deadline = self.clock.now_ns() + self._period_ns()
+        next_deadline = 0  # taken by the accept that makes a subscription active
         try:
             while True:
                 now = self.clock.now_ns()
-                if now >= next_deadline:
-                    if self.machine.state == SubState.ACTIVE:
-                        self._emit()
+                active = self.machine.state == SubState.ACTIVE
+                if active and now >= next_deadline:
+                    self._emit()
                     period = self._period_ns()
                     next_deadline += period
                     now = self.clock.now_ns()
@@ -449,7 +443,8 @@ class SensingDapp:
                         next_deadline = late
                         self.late_bursts += 1
                 try:
-                    frame = self.channel.recv(timeout=max(0, next_deadline - now) / 1e9)
+                    frame = self.channel.recv(
+                        timeout=max(0, next_deadline - now) / 1e9 if active else None)
                 except Timeout:
                     continue
                 if self._handle_frame(frame):
@@ -466,10 +461,8 @@ class SensingDapp:
             self.machine.step(SubEvent.TRANSPORT_LOST)
 
     def start(self) -> None:
-        # Spawned before this thread is pinned, then moved off the loop CPU.
-        max_samples = max((cfg.samples_per_burst for cfg in self.waveform_table.values()),
-                          default=0)
-        self._helper = self.ru.start_helper(max_samples, spare_cpus())
+        # Before the pin, so that what the RU spawns does not inherit the loop CPU.
+        self.ru.start(self.waveform_table.values())
         share_loop_cpu()
         self._thread = threading.Thread(target=self.run, name="sensing-dapp", daemon=True)
         self._thread.start()
@@ -478,8 +471,7 @@ class SensingDapp:
         self.channel.close()
         if self._thread is not None:
             self._thread.join(5.0)
-        if self._helper is not None:
-            self._helper.close()
+        self.ru.close()
 
     def counters(self) -> dict:
         """Every failure this side counted, as ``summary.json`` writes it."""

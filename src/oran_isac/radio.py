@@ -14,10 +14,9 @@ estimators can be verified against exact values.
 the scene, keeps one echo per waveform, beam and SIC state, raises the SI
 level when SIC is off and seeds each burst's noise. It answers a burst request
 with the block's encoded fronthaul metadata and its samples, as an RU would.
-A started RU has a ``NoiseHelper``, a process on the CPUs the DU's loop does
-not use, that draws burst k + 1's raw noise while the DU processes burst k.
-A draw that is not ready is made on the DU, so a burst's bytes never depend on
-where its noise was drawn.
+A started RU of a noisy scene owns a ``NoiseHelper`` process, which draws
+burst k + 1's raw noise while the DU processes burst k; a draw that is not
+ready is made on the DU, so a burst's bytes never depend on where it was drawn.
 
 Conventions fixed here and relied on by the estimator:
   delay   = 2 * range / c
@@ -35,12 +34,14 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import noise_helper
 from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig, encode_metadata
 from .schema import json_float, json_int, json_list, load_json, read_document
+from .transport import spare_cpus
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -357,8 +358,11 @@ _SIC_OFF_SI_DB = 0.0
 class RadioUnit:
     """The simulated RU: one scene seen on the beams of one beam table.
 
-    ``local_draws`` counts the bursts whose noise was drawn on the caller's
-    CPU: there was no helper, it was booting or gone, or its draw was late.
+    ``start`` gives a noisy scene's RU a helper on ``transport.spare_cpus()``,
+    sized for the longest waveform it is given; ``close``, safe on any RU and
+    more than once, ends it. ``local_draws`` counts the bursts whose noise
+    was drawn on the caller's CPU: with no helper, one booting or gone, or a
+    late draw.
     """
 
     def __init__(self, scene: EchoScene, beam_table: BeamTable) -> None:
@@ -368,10 +372,14 @@ class RadioUnit:
         self.helper: NoiseHelper | None = None
         self.local_draws = 0
 
-    def start_helper(self, max_samples: int, cpus: set[int]) -> NoiseHelper | None:
-        """Give the RU a helper on ``cpus`` for bursts of up to ``max_samples``; its caller closes it."""
-        self.helper = NoiseHelper.start(2 * max_samples, cpus)
-        return self.helper
+    def start(self, waveforms: Iterable[WaveformConfig]) -> None:
+        if self.scene.snr_db < math.inf:  # a noiseless burst draws nothing
+            max_samples = max((cfg.samples_per_burst for cfg in waveforms), default=0)
+            self.helper = NoiseHelper.start(2 * max_samples, spare_cpus())
+
+    def close(self) -> None:
+        if self.helper is not None:
+            self.helper.close()
 
     def burst(self, probe: np.ndarray, cfg: WaveformConfig, meta: SensingMetadata,
               sic_enabled: bool, index: int) -> tuple[bytes, np.ndarray]:

@@ -328,6 +328,9 @@ class RewrittenHeader:
     def burst(self, *request):
         return self.header, self.ru.burst(*request)[1]
 
+    def close(self):
+        self.ru.close()
+
 
 # The sensing flag with a padding bit set, and a waveform id no table here holds.
 PADDED_HEADER = bytes([0x81]) + bytes(11)
@@ -543,6 +546,18 @@ class TestRunLoop:
                                                    ControlAckPayload(1_002_000, 1_002_000))]
         assert not dapp.config.sic_enabled
 
+    def test_an_idle_loop_keeps_no_deadline(self):
+        """A tiny period at 0 ms and a SET_SIC at 3 ms, nothing subscribed: one read per frame."""
+        dapp, end = virtual_dapp(
+            [(0, control_frame(1, CommandKind.SET_PERIOD, period_ms=1e-9)),
+             (3 * MS, control_frame(2, CommandKind.SET_SIC, sic_enabled=False))],
+            end_ms=5.0)
+        dapp.run()
+        assert end.waits == [None, None, None]  # two frames, then the script's end
+        assert dapp.late_bursts == 0
+        assert sent(end, MsgType.CONTROL_ACK) == [(0, ControlAckPayload(0, 0)),
+                                                  (3 * MS, ControlAckPayload(3 * MS, 3 * MS))]
+
     def test_a_tiny_period_leaves_control_and_stop_working(self):
         """1e-9 ms rounds to a 0 ns period: the live loop still acks, and ``stop()`` ends it."""
         dapp, xapp = small_stack(period_ms=10.0)
@@ -550,6 +565,9 @@ class TestRunLoop:
             # The xApp's policy would refuse the period, so it goes raw, as a peer might.
             xapp.channel.send(control_frame(999, CommandKind.SET_PERIOD, period_ms=1e-9))
             xapp.set_sic(False, timeout=1.0)
+            time.sleep(0.2)
+            # Nothing is subscribed, so the loop keeps no deadline to miss.
+            assert dapp.late_bursts == 0
         finally:
             xapp.stop()
             stopping = time.monotonic()
@@ -879,14 +897,14 @@ class TestNoiseHelperLifetime:
     def test_stop_reaps_the_helper(self):
         dapp, xapp = small_stack(period_ms=5.0)
         try:
-            if dapp._helper is None:
+            if dapp.ru.helper is None:
                 pytest.skip("no spare CPU or no shared memory file for a helper")
             xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=5.0)
             xapp.await_report(5, timeout=2.0)
         finally:
             xapp.stop()
             dapp.stop()
-        proc = dapp._helper._proc
+        proc = dapp.ru.helper._proc
         assert proc.returncode is not None
         with pytest.raises(ProcessLookupError):
             os.kill(proc.pid, 0)
@@ -898,7 +916,7 @@ class TestNoiseHelperLifetime:
             dapp, xapp = small_stack()
             xapp.stop()
             dapp.stop()
-            assert dapp._helper is None or dapp._helper._proc.returncode is not None
+            assert dapp.ru.helper is None or dapp.ru.helper._proc.returncode is not None
         assert capfd.readouterr() == ("", "")
 
     def test_a_one_cpu_process_starts_no_helper(self, monkeypatch):
@@ -906,13 +924,26 @@ class TestNoiseHelperLifetime:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         dapp, xapp = small_stack(period_ms=5.0)
         try:
-            assert dapp._helper is None and dapp.ru.helper is None
+            assert dapp.ru.helper is None
             xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=5.0)
             xapp.await_report(3, timeout=2.0)
         finally:
             xapp.stop()
             dapp.stop()
         assert dapp.counters()["local_noise_draws"] == dapp.sequence_number >= 3
+
+    def test_a_noiseless_scene_starts_no_helper(self):
+        """Its bursts never draw noise, so its RU has nothing for a helper to do."""
+        dapp, xapp = small_stack(period_ms=5.0, scene=EchoScene(targets=(Target(20.0),)))
+        try:
+            assert dapp.ru.helper is None
+            xapp.subscribe(SubscriptionMode.PERIODIC, period_ms=5.0)
+            xapp.await_report(3, timeout=2.0)
+        finally:
+            xapp.stop()
+            dapp.stop()
+        assert not dapp.burst_errors
+        assert dapp.counters()["local_noise_draws"] == 0
 
 
 def test_first_burst_does_not_load_masked_arrays():

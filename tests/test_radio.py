@@ -24,7 +24,6 @@ from oran_isac.radio import (
     load_scene,
     scene_from_dict,
 )
-from oran_isac.transport import spare_cpus
 
 
 def make_cfg(fft_size=64, cp_length=16, num_symbols=4, bandwidth=None,
@@ -289,7 +288,8 @@ HELPER_SCENE = EchoScene(targets=(Target(20.0, 4.0, 0.0), Target(35.0, -2.0, 30.
 def helped_ru(cfg, scene=HELPER_SCENE):
     """A RadioUnit with a started helper, or a skip where the process has no spare CPU."""
     ru = RadioUnit(scene, BEAMS)
-    helper = ru.start_helper(cfg.samples_per_burst, spare_cpus())
+    ru.start([cfg])
+    helper = ru.helper
     if helper is None:
         pytest.skip("no spare CPU or no shared memory file for a helper")
     return ru, helper
@@ -383,3 +383,10 @@ class TestNoiseHelper:
         helper.close()
         assert helper._proc.returncode is not None
         assert helper.take(0, 0) is None
+
+    def test_the_ru_closes_quietly_unstarted_and_twice(self):
+        RadioUnit(HELPER_SCENE, BEAMS).close()
+        ru, helper = helped_ru(make_cfg())
+        ru.close()
+        ru.close()
+        assert helper._proc.returncode is not None

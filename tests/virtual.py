@@ -11,10 +11,11 @@ exact times, and no thread.
   ``BaseException``, because ``SensingDapp._emit`` catches ``Exception``.
 - ``ScriptedEnd`` delivers scripted frames at their virtual times. ``recv``
   moves the clock to the next frame or to the timeout; a timed-out wait moves
-  it by at least ``MIN_WAIT_NS``. ``send`` logs ``(time, frame)`` in
-  ``sent``. ``send`` from the script's end on, and a ``recv`` whose wait
-  reaches the end with no frame left, raise ``Disconnected``, as a closed
-  channel does; that is also how ``stop()`` ends a live loop.
+  it by at least ``MIN_WAIT_NS``. ``recv`` logs every timeout it is given in
+  ``waits``, and ``send`` logs ``(time, frame)`` in ``sent``. ``send`` from
+  the script's end on, and a ``recv`` whose wait reaches the end with no
+  frame left, raise ``Disconnected``, as a closed channel does; that is also
+  how ``stop()`` ends a live loop.
 - ``peer_scripts`` draws scripts of peer frames for properties over whole
   runs: frames of every type, with NaN, infinite and tiny periods, every
   beam index and empty and NaN triggers, each one intact, truncated, with
@@ -83,6 +84,7 @@ class ScriptedEnd(Channel):
             raise ValueError("the script must end after its last frame")
         self.end_ns = end_ns
         self.sent: list[tuple[int, bytes]] = []
+        self.waits: list[float | None] = []
 
     def send(self, frame: bytes, droppable: bool = False) -> None:
         if self.clock.t >= self.end_ns:
@@ -90,6 +92,7 @@ class ScriptedEnd(Channel):
         self.sent.append((self.clock.t, frame))
 
     def recv(self, timeout: float | None = None) -> bytes:
+        self.waits.append(timeout)
         deadline = (math.inf if timeout is None
                     else self.clock.t + max(round(timeout * 1e9), MIN_WAIT_NS))
         if self.inbox and self.inbox[0][0] <= deadline:
