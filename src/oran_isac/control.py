@@ -33,6 +33,7 @@ from .e2sm import (
     decode_message,
     encode_message,
     valid_period,
+    valid_trigger,
 )
 from .ofh import BeamTable
 from .schema import json_float, json_list, json_str, load_json, read_document
@@ -126,16 +127,16 @@ def enforce_policy(policy: A1IsacPolicy,
                    proposed: ControlRequestPayload | SubscriptionRequestPayload) -> PolicyDecision:
     """Total, pure check of one request: always exactly one verdict."""
     if isinstance(proposed, SubscriptionRequestPayload):
-        if proposed.mode == SubscriptionMode.EVENT:
-            if proposed.trigger.empty:
-                return PolicyDecision(Verdict.REJECT, "EMPTY_TRIGGER")
-            return PolicyDecision(Verdict.ACCEPT)
-        period = proposed.period_ms
-    elif proposed.kind == CommandKind.SET_PERIOD:
-        period = proposed.period_ms
+        event = proposed.mode == SubscriptionMode.EVENT
+    elif proposed.kind in (CommandKind.SET_PERIOD, CommandKind.SET_TRIGGER):
+        event = proposed.kind == CommandKind.SET_TRIGGER
     else:
         return PolicyDecision(Verdict.ACCEPT)
-
+    if event:
+        if valid_trigger(proposed.trigger):
+            return PolicyDecision(Verdict.ACCEPT)
+        return PolicyDecision(Verdict.REJECT, "INVALID_TRIGGER")
+    period = proposed.period_ms
     if not valid_period(period):
         return PolicyDecision(Verdict.REJECT, "INVALID_PERIOD")
     clamped = min(max(period, policy.min_period_ms), policy.max_period_ms)
@@ -372,6 +373,8 @@ class XApp:
         return self._command(CommandKind.SET_SIC, timeout, sic_enabled=enabled)[1]
 
     def set_trigger(self, trigger: TriggerConfig, timeout: float = 5.0) -> ControlAckPayload:
+        """Replace the event trigger; returns the dApp's ack."""
+        self._enforce(ControlRequestPayload(CommandKind.SET_TRIGGER, 0, trigger=trigger))
         return self._command(CommandKind.SET_TRIGGER, timeout, trigger=trigger)[1]
 
     def await_report(self, after_index: int, timeout: float = 5.0) -> ReceivedReport:

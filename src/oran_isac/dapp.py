@@ -37,6 +37,7 @@ from .e2sm import (
     decode_message,
     encode_message,
     valid_period,
+    valid_trigger,
 )
 from .ofh import (BeamTable, IqBlock, SensingMetadata, WaveformConfig, decode_metadata,
                   lookup_waveform)
@@ -248,8 +249,8 @@ class SensingDapp:
     the scene to its own ``ru`` and keeps only its seed, for the probe pilots;
     each report follows the waveform and beam the RU's metadata names. Control
     commands are applied as they arrive, always between emissions, and each is
-    acknowledged with its receive and apply timestamps; one with an
-    out-of-range value is counted in ``refused_commands`` and left unanswered.
+    acknowledged with its receive and apply timestamps; one whose value its
+    rule refuses is counted in ``refused_commands`` and left unanswered.
     An undecodable frame is counted by kind in ``decode_errors`` and dropped,
     and a frame of a type the dApp does not serve (an indication, a control
     ack or a subscription response) by type in ``unexpected_frames``.
@@ -323,7 +324,7 @@ class SensingDapp:
     # -- control ------------------------------------------------------------
 
     def _apply_command(self, cmd: ControlRequestPayload) -> bool:
-        """Apply one command; False, with nothing changed, for an out-of-range value."""
+        """Apply one command; False, with nothing changed, for a value its rule refuses."""
         if cmd.kind == CommandKind.SET_PERIOD:
             if not valid_period(cmd.period_ms):
                 return False
@@ -334,8 +335,10 @@ class SensingDapp:
             self.config.active_beam = cmd.beam_index
         elif cmd.kind == CommandKind.SET_SIC:
             self.config.sic_enabled = cmd.sic_enabled
-        else:
+        elif valid_trigger(cmd.trigger):
             self.trigger = cmd.trigger
+        else:
+            return False
         return True
 
     def _handle_frame(self, frame: bytes) -> bool:
@@ -354,6 +357,7 @@ class SensingDapp:
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
             result = self.machine.handle_request(msg.payload, msg.correlation_id)
             if not result.violation:
+                self.prev_report = None  # a new subscription starts from first sight
                 if msg.payload.mode == SubscriptionMode.PERIODIC:
                     self.config.report_period_ms = msg.payload.period_ms
                 else:

@@ -12,6 +12,7 @@ count failure modes separately.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -71,14 +72,16 @@ class CommandKind(enum.IntEnum):
 
 
 class TriggerConfig(NamedTuple):
-    """Event-driven reporting conditions; at least one must be set for EVENT mode."""
+    """Event-driven reporting conditions; ``valid_trigger`` says which may be used."""
 
     echo_energy_threshold_db: float | None = None
     aoa_shift_threshold_deg: float | None = None
 
-    @property
-    def empty(self) -> bool:
-        return self.echo_energy_threshold_db is None and self.aoa_shift_threshold_deg is None
+
+def valid_trigger(trigger: TriggerConfig) -> bool:
+    """The one rule for a trigger: a threshold is set, and every set one is finite."""
+    thresholds = [t for t in trigger if t is not None]
+    return bool(thresholds) and all(map(math.isfinite, thresholds))
 
 
 # A trigger on the wire: u8 flags (0x01 energy set, 0x02 AoA set), then both
@@ -356,9 +359,8 @@ class SubscriptionMachine:
         if event == SubEvent.REQUEST_RECEIVED:
             if request is None:
                 raise ValueError("REQUEST_RECEIVED needs the request payload")
-            malformed = (request.trigger.empty if request.mode == SubscriptionMode.EVENT
-                         else not valid_period(request.period_ms))
-            if malformed:
+            if not (valid_trigger(request.trigger) if request.mode == SubscriptionMode.EVENT
+                    else valid_period(request.period_ms)):
                 return self._violate(event)
             self.subscription_id += 1
             self.mode = request.mode

@@ -73,6 +73,10 @@ def default_beam_table() -> BeamTable:
     return BeamTable({i: (float(-60 + 15 * i), 0.0) for i in range(9)})
 
 
+# The default table's beam at 0 degrees, where the default scenes put their target.
+_BORESIGHT_BEAM = 4
+
+
 @dataclass
 class ExperimentConfig:
     transport: EndpointKind = EndpointKind.IN_PROCESS
@@ -166,8 +170,8 @@ def _subscribed_stack(cfg: ExperimentConfig, period_ms: float
     except OSError as e:
         raise SetupFailure(f"transport setup failed: {e}") from e
     beams = default_beam_table()
-    dapp = SensingDapp(DappConfig(report_period_ms=period_ms), {0: cfg.waveform},
-                       beams, cfg.scene, dapp_end)
+    dapp = SensingDapp(DappConfig(report_period_ms=period_ms, active_beam=_BORESIGHT_BEAM),
+                       {0: cfg.waveform}, beams, cfg.scene, dapp_end)
     xapp = XApp(xapp_end, policy=cfg.policy, beam_table=beams)
     dapp.start()
     xapp.start()
@@ -346,15 +350,14 @@ def run_sensing_accuracy(cfg: ExperimentConfig) -> AccuracyReport:
     """
     scene = cfg.scene
     beams = default_beam_table()
-    beam = 4  # boresight
     wf = replace(cfg.waveform, num_symbols=max(cfg.waveform.num_symbols, 64))
     dapp_end, _ = channel_pair()
-    dapp = SensingDapp(DappConfig(active_beam=beam), {0: wf}, beams, scene, dapp_end)
+    dapp = SensingDapp(DappConfig(active_beam=_BORESIGHT_BEAM), {0: wf}, beams, scene, dapp_end)
     trig = TriggerConfig(echo_energy_threshold_db=-40.0)
     # Trials differ only by seed, so they share one strongest target.
     truth = None
     if scene.targets:
-        beam_az, _ = beams.direction(beam)
+        beam_az, _ = beams.direction(_BORESIGHT_BEAM)
         gains = [t.amplitude * beam_gain(t.azimuth_deg, beam_az) for t in scene.targets]
         truth = scene.targets[int(np.argmax(gains))]
 

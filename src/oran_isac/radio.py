@@ -6,17 +6,14 @@ seen on one beam: per-target round-trip delay (fractional, frequency-domain),
 two-way Doppler rotation, beam-pattern gain and residual self-interference as
 an attenuated zero-delay copy. It depends on the probe, the scene's targets
 and SI level and the beam, never on the scene's seed. ``apply_scene`` adds
-white Gaussian noise, calibrated to the strongest echo and drawn from the
-scene's seed, to that echo. Ground truth rides along with every block so
-estimators can be verified against exact values.
+white Gaussian noise, calibrated to the strongest echo, to that echo; how the
+noise is drawn is ``noise_helper``'s. Ground truth rides along with every
+block so estimators can be verified against exact values.
 
 ``RadioUnit`` is the one place that decides how a burst is simulated: it holds
 the scene, keeps one echo per waveform, beam and SIC state, raises the SI
 level when SIC is off and seeds each burst's noise. It answers a burst request
 with the block's encoded fronthaul metadata and its samples, as an RU would.
-A started RU of a noisy scene owns a ``NoiseHelper`` process, which draws
-burst k + 1's raw noise while the DU processes burst k; a draw that is not
-ready is made on the DU, so a burst's bytes never depend on where it was drawn.
 
 Conventions fixed here and relied on by the estimator:
   delay   = 2 * range / c
@@ -26,11 +23,6 @@ Conventions fixed here and relied on by the estimator:
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import socket
-import subprocess
-import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -38,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import noise_helper
+from .noise_helper import NoiseHelper, draw
 from .ofh import BeamTable, IqBlock, SensingMetadata, WaveformConfig, encode_metadata
 from .schema import json_float, json_int, json_list, load_json, read_document
 from .transport import spare_cpus
@@ -201,10 +193,10 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
                 waveform_id: int = 0, tx_timestamp: int = 0) -> tuple[IqBlock, GroundTruth]:
     """Propagate the probe through the scene as seen on one probing beam.
 
-    ``echo`` is a ``scene_echo`` result for the same probe, cfg, scene targets,
-    SI level and beam; given, only the noise of ``scene.seed`` is drawn.
-    ``noise`` is that draw made elsewhere, ``standard_normal(2 * len(probe))``
-    of ``default_rng(scene.seed)``; given, nothing is drawn.
+    ``echo`` is a ``scene_echo`` result for the same probe, cfg and beam;
+    given, it stands for the scene's targets and SI level, which are not
+    read. ``noise`` is ``noise_helper.draw(seed, 2 * len(probe))`` for the
+    burst's seed; given, ``scene.seed`` is not read.
     """
     if echo is None:
         echo = scene_echo(probe, cfg, scene, beam, beam_table)
@@ -212,142 +204,15 @@ def apply_scene(probe: np.ndarray, cfg: WaveformConfig, scene: EchoScene,
     if scene.snr_db < math.inf:
         n = len(rx)
         if noise is None:
-            # One draw: first half real parts, second half imaginary parts.
-            noise = np.random.default_rng(scene.seed).standard_normal(2 * n)
+            noise = draw(scene.seed, 2 * n)
         noise_power = echo.ref_power / 10.0 ** (scene.snr_db / 10.0)
         scaled = noise * math.sqrt(noise_power / 2.0)
         rx = rx.copy()
         rx.real += scaled[:n]
         rx.imag += scaled[n:]
 
-    meta = SensingMetadata(
-        tx_timestamp=tx_timestamp,
-        waveform_id=waveform_id,
-        beam_index=beam,
-        sensing_flag=True,
-    )
-    block = IqBlock(metadata=meta, samples=rx)
-    return block, echo.truth
-
-
-# How long a helper told to stop may take to exit before it is killed.
-_HELPER_EXIT_S = 0.02
-
-
-class NoiseHelper:
-    """A process that draws each burst's raw noise one burst ahead of the DU.
-
-    The draws land in a shared mapping of two slots, one per seed parity, so
-    no sample crosses the socket: a request names the seed, the draw length
-    and a tag, and the answer repeats the request. The DU never waits:
-    ``take`` reads the answers that have arrived and returns the draw only
-    if it answers the last request sent, so the helper is idle while the DU
-    reads the slot. The next burst's request goes to the other slot. Until
-    the helper says it is ready, and once it has gone, nothing is requested
-    and every ``take`` misses.
-    """
-
-    def __init__(self, proc: subprocess.Popen, sock: socket.socket,
-                 slots: np.ndarray) -> None:
-        self._proc = proc
-        self._sock: socket.socket | None = sock
-        self._slots = slots
-        self.ready = False
-        self._tag = 0
-        self._asked: tuple[int, int, int] | None = None   # the last request sent
-
-    @classmethod
-    def start(cls, max_length: int, cpus: set[int]) -> NoiseHelper | None:
-        """Spawn a helper for draws of up to ``max_length`` and move it onto ``cpus``.
-
-        None, with nothing left running, where there is no CPU to give it, the
-        platform has no shared memory file, or the helper cannot be started
-        or placed.
-        """
-        if not cpus or max_length <= 0 or not hasattr(os, "memfd_create"):
-            return None
-        size = 2 * max_length * 8
-        try:
-            ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        except OSError:
-            return None
-        try:
-            with theirs:
-                mem_fd = os.memfd_create("oran-isac-noise")
-                try:
-                    os.ftruncate(mem_fd, size)
-                    slots = np.frombuffer(mmap.mmap(mem_fd, size), dtype=np.float64)
-                    # A fresh interpreter: a fork would copy this process's pages on write.
-                    proc = subprocess.Popen(
-                        [sys.executable, noise_helper.__file__, str(theirs.fileno()),
-                         str(mem_fd), str(max_length)],
-                        pass_fds=(theirs.fileno(), mem_fd), stdin=subprocess.DEVNULL,
-                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-                finally:
-                    os.close(mem_fd)
-        except OSError:
-            ours.close()
-            return None
-        ours.setblocking(False)
-        helper = cls(proc, ours, slots.reshape(2, max_length))
-        try:
-            os.sched_setaffinity(proc.pid, cpus)
-        except OSError:
-            helper.close()
-            return None
-        return helper
-
-    def _gone(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def take(self, seed: int, length: int) -> np.ndarray | None:
-        """The draw of ``length`` for ``seed`` if the helper has made it, else None."""
-        sock, asked, answered = self._sock, self._asked, False
-        while sock is not None:
-            try:
-                msg = sock.recv(noise_helper.REQUEST.size)
-            except BlockingIOError:
-                break
-            except OSError:
-                msg = b""
-            if not msg:
-                self._gone()
-                return None
-            if msg == noise_helper.READY:
-                self.ready = True
-            elif asked is not None and msg == noise_helper.REQUEST.pack(*asked):
-                answered = True
-        if not answered or asked[:2] != (seed, length):
-            return None
-        return self._slots[seed % 2, :length]
-
-    def request(self, seed: int, length: int) -> None:
-        """Ask for the draw of ``length`` for ``seed``; never blocks, and may ask nothing."""
-        sock, self._asked = self._sock, None
-        if (sock is None or not self.ready or not 0 <= seed < 2**64
-                or length > self._slots.shape[1]):
-            return
-        self._tag += 1
-        asked = (seed, length, self._tag)
-        try:
-            sock.send(noise_helper.REQUEST.pack(*asked))
-        except BlockingIOError:
-            return
-        except OSError:
-            self._gone()
-            return
-        self._asked = asked
-
-    def close(self) -> None:
-        """Close the helper's socket, which ends it; kill it if it lingers, then reap it."""
-        self._gone()
-        try:
-            self._proc.wait(_HELPER_EXIT_S)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
+    meta = SensingMetadata(tx_timestamp, waveform_id, beam, sensing_flag=True)
+    return IqBlock(meta, rx), echo.truth
 
 
 # Residual self-interference when the canceler is switched off: no
@@ -358,11 +223,11 @@ _SIC_OFF_SI_DB = 0.0
 class RadioUnit:
     """The simulated RU: one scene seen on the beams of one beam table.
 
-    ``start`` gives a noisy scene's RU a helper on ``transport.spare_cpus()``,
-    sized for the longest waveform it is given; ``close``, safe on any RU and
-    more than once, ends it. ``local_draws`` counts the bursts whose noise
-    was drawn on the caller's CPU: with no helper, one booting or gone, or a
-    late draw.
+    ``start`` gives a noisy scene's RU a ``NoiseHelper`` on
+    ``transport.spare_cpus()``, sized for the longest waveform it is given,
+    and ``close``, safe on any RU and more than once, ends it. ``local_draws``
+    counts the bursts whose noise was drawn on the caller's CPU: with no
+    helper, one gone, or a draw that had not arrived.
     """
 
     def __init__(self, scene: EchoScene, beam_table: BeamTable) -> None:
@@ -384,25 +249,26 @@ class RadioUnit:
     def burst(self, probe: np.ndarray, cfg: WaveformConfig, meta: SensingMetadata,
               sic_enabled: bool, index: int) -> tuple[bytes, np.ndarray]:
         """Send ``probe`` on ``meta``'s beam; returns the echo's encoded metadata and samples."""
-        scene = replace(self.scene, seed=self.scene.seed + index)
-        if not sic_enabled:
-            scene = replace(scene, residual_si_power_db=max(scene.residual_si_power_db,
-                                                            _SIC_OFF_SI_DB))
-        key = (meta.waveform_id, meta.beam_index, sic_enabled)
-        if key not in self._echoes:
-            self._echoes[key] = scene_echo(probe, cfg, scene, meta.beam_index, self.beam_table)
+        scene, beam = self.scene, meta.beam_index
+        key = (meta.waveform_id, beam, sic_enabled)  # a waveform id names one waveform
+        echo = self._echoes.get(key)
+        if echo is None:
+            sic_scene = scene if sic_enabled else replace(
+                scene, residual_si_power_db=max(scene.residual_si_power_db, _SIC_OFF_SI_DB))
+            echo = self._echoes[key] = scene_echo(probe, cfg, sic_scene, beam, self.beam_table)
         noise = None
         if scene.snr_db < math.inf:
-            length = 2 * len(probe)
+            seed, length = scene.seed + index, 2 * len(probe)
             if self.helper is not None:
-                noise = self.helper.take(scene.seed, length)
+                noise = self.helper.take(seed, length)
                 # The next burst's draw overlaps this one's DSP on the DU.
-                self.helper.request(scene.seed + 1, length)
+                self.helper.request(seed + 1, length)
             if noise is None:
                 self.local_draws += 1
-        block, _ = apply_scene(probe, cfg, scene, meta.beam_index, self.beam_table,
-                               echo=self._echoes[key], noise=noise,
-                               waveform_id=meta.waveform_id, tx_timestamp=meta.tx_timestamp)
+                noise = draw(seed, length)
+        block, _ = apply_scene(probe, cfg, scene, beam, self.beam_table, echo=echo,
+                               noise=noise, waveform_id=meta.waveform_id,
+                               tx_timestamp=meta.tx_timestamp)
         return encode_metadata(block.metadata), block.samples
 
 

@@ -48,8 +48,11 @@ from oran_isac.e2sm import (
     decode_message,
     encode_message,
     valid_period,
+    valid_trigger,
 )
-from oran_isac.control import A1IsacPolicy, Verdict, XApp, enforce_policy
+from oran_isac.control import (
+    A1IsacPolicy, PolicyDecision, PolicyViolation, Verdict, XApp, enforce_policy,
+)
 from oran_isac.ofh import (
     BeamTable, IqBlock, NonZeroPadding, SensingMetadata, UnknownWaveformId, WaveformConfig,
     encode_metadata,
@@ -365,6 +368,19 @@ class SlowRadio:
         return self.ru.burst(*request)
 
 
+class RaisingOnce:
+    """A substitute RU whose ``call``-th burst raises; every other is the real RU's."""
+
+    def __init__(self, ru, call):
+        self.ru, self.calls_left = ru, call
+
+    def burst(self, *request):
+        self.calls_left -= 1
+        if self.calls_left == 0:
+            raise RuntimeError("the RU failed one burst")
+        return self.ru.burst(*request)
+
+
 def virtual_dapp(script, end_ms, burst_ms=0.0, config=None):
     """A dApp whose peer is ``script``, each burst taking ``burst_ms`` of virtual time."""
     clock = VirtualClock()
@@ -545,6 +561,27 @@ class TestRunLoop:
         assert sent(end, MsgType.CONTROL_ACK) == [(1_002_000,
                                                    ControlAckPayload(1_002_000, 1_002_000))]
         assert not dapp.config.sic_enabled
+
+    def test_a_new_subscription_fires_on_first_sight(self):
+        """An EVENT subscription fires at 10 ms and burst 3 raises, which closes it.
+
+        An identical one at 50 ms compares its first burst with no report, so it
+        fires at 60 ms, as a fresh dApp's would, and not against the first's.
+        """
+        def event_frame(corr):
+            return encode_message(E2SensMessage(
+                MsgType.SUBSCRIPTION_REQUEST, corr, SubscriptionRequestPayload(
+                    SubscriptionMode.EVENT,
+                    trigger=TriggerConfig(echo_energy_threshold_db=-15.0))))
+
+        dapp, end = virtual_dapp([(0, event_frame(1)), (50 * MS, event_frame(2))],
+                                 end_ms=100.0)
+        dapp.ru = RaisingOnce(dapp.ru, call=3)
+        dapp.run()
+        assert dapp.burst_errors == Counter(RuntimeError=1)
+        assert [r.subscription_id for _, r in sent(end, MsgType.SUBSCRIPTION_RESPONSE)] \
+            == [1, 2]
+        assert [t for t, _ in sent(end, MsgType.INDICATION)] == [10 * MS, 60 * MS]
 
     def test_an_idle_loop_keeps_no_deadline(self):
         """A tiny period at 0 ms and a SET_SIC at 3 ms, nothing subscribed: one read per frame."""
@@ -792,6 +829,34 @@ def test_out_of_range_period_is_refused_everywhere(period):
     assert dapp.config.report_period_ms == 10.0
     with pytest.raises(Timeout):
         peer.recv(timeout=0.0)
+
+
+@pytest.mark.parametrize("trigger", [
+    TriggerConfig(),
+    TriggerConfig(-15.0, math.nan),
+    TriggerConfig(echo_energy_threshold_db=math.inf),
+    TriggerConfig(aoa_shift_threshold_deg=-math.inf),
+], ids=["empty", "nan", "inf", "-inf"])
+def test_an_invalid_trigger_is_refused_everywhere(trigger):
+    """Subscription, A1 check, SET_TRIGGER and the xApp share one trigger rule."""
+    assert not valid_trigger(trigger)
+    request = SubscriptionRequestPayload(SubscriptionMode.EVENT, trigger=trigger)
+    assert SubscriptionMachine().step(SubEvent.REQUEST_RECEIVED, request=request).violation
+    refused = PolicyDecision(Verdict.REJECT, "INVALID_TRIGGER")
+    assert enforce_policy(A1IsacPolicy(), request) == refused
+    command = ControlRequestPayload(CommandKind.SET_TRIGGER, 0, trigger=trigger)
+    assert enforce_policy(A1IsacPolicy(), command) == refused
+    dapp_end, peer = channel_pair()
+    dapp = SensingDapp(DappConfig(), {0: make_cfg()}, BEAMS, EchoScene(), dapp_end)
+    assert not dapp._handle_frame(control_frame(1, CommandKind.SET_TRIGGER, trigger=trigger))
+    assert dapp.refused_commands == 1
+    assert dapp.trigger == TriggerConfig()
+    with pytest.raises(Timeout):
+        peer.recv(timeout=0.0)
+    with pytest.raises(PolicyViolation, match="INVALID_TRIGGER"):
+        XApp(peer).set_trigger(trigger)
+    with pytest.raises(Timeout):
+        dapp_end.recv(timeout=0.0)
 
 
 def test_period_rule_bounds():

@@ -27,7 +27,7 @@ from oran_isac.harness import (
     run_experiment_b,
     run_sensing_accuracy,
 )
-from oran_isac.radio import SPEED_OF_LIGHT, EchoScene, Target, load_scene
+from oran_isac.radio import BEAMWIDTH_DEG, SPEED_OF_LIGHT, EchoScene, Target, load_scene
 from oran_isac.transport import EndpointKind, channel_pair
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -283,6 +283,14 @@ class TestExperimentB:
         with pytest.raises(PolicyViolation, match="period 2.0 ms outside"):
             run(cfg)
         assert threading.active_count() == threads
+
+    def test_a_live_report_probes_the_strongest_targets_beam(self):
+        cfg = small_config()
+        strongest = max(cfg.scene.targets, key=lambda t: t.amplitude)
+        with _subscribed_stack(cfg, 20.0) as (_, xapp, _, _):
+            report = xapp.await_report(0, timeout=2.0).report
+        beam_az, _ = default_beam_table().direction(report.beam_index)
+        assert abs(beam_az - strongest.azimuth_deg) <= BEAMWIDTH_DEG
 
     def test_the_scope_judges_the_direction_of_the_beam_it_names(self):
         # The default table steers beam 4 to 0 degrees and beam 8 to 60.

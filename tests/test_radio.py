@@ -296,15 +296,17 @@ def helped_ru(cfg, scene=HELPER_SCENE):
 
 
 def await_ready(helper):
+    """Wait for the helper's answer to a throwaway request: numpy is imported."""
     deadline = time.monotonic() + 10.0
-    while not helper.ready and time.monotonic() < deadline:
-        helper.take(0, 0)  # reads the helper's messages, asks for nothing
+    helper.request(0, 0)
+    while (answer := helper.take(0, 0)) is None and time.monotonic() < deadline:
         time.sleep(0.005)
-    assert helper.ready
+    assert answer is not None
 
 
-def burst(ru, cfg, probe, index, beam=0, sic=True):
-    header, samples = ru.burst(probe, cfg, SensingMetadata(beam_index=beam, sensing_flag=True),
+def burst(ru, cfg, probe, index, beam=0, sic=True, waveform_id=0):
+    header, samples = ru.burst(probe, cfg, SensingMetadata(waveform_id=waveform_id,
+                                                           beam_index=beam, sensing_flag=True),
                                sic, index)
     return header + samples.tobytes()
 
@@ -338,18 +340,19 @@ class TestNoiseHelper:
         plain = RadioUnit(HELPER_SCENE, BEAMS)
         ru, helper = helped_ru(other)
         try:
-            # Booting: nothing is asked for until the helper is ready.
+            # The first burst: nothing has been asked for yet.
             assert burst(ru, cfg, probe, 0) == burst(plain, cfg, probe, 0)
-            assert (helper.ready, ru.local_draws) == (False, 1)
+            assert ru.local_draws == 1
             await_ready(helper)
             for k in range(1, 6):
                 assert burst(ru, cfg, probe, k) == burst(plain, cfg, probe, k)
                 time.sleep(0.01)
             hits = 6 - ru.local_draws
             assert hits >= 1
-            # Another length: the draw asked for is of the old one.
+            # Another waveform and length: the draw asked for is of the old one.
             before = ru.local_draws
-            assert burst(ru, other, other_probe, 6) == burst(plain, other, other_probe, 6)
+            assert burst(ru, other, other_probe, 6, waveform_id=1) == burst(
+                plain, other, other_probe, 6, waveform_id=1)
             assert ru.local_draws == before + 1
             # A helper killed mid-run: every later draw is local.
             helper._proc.kill()
