@@ -6,7 +6,7 @@ symbols the Doppler axis), peak extraction with parabolic sub-bin refinement,
 and derived indicators (self-interference power at the zero cell, RMS
 multipath spread of the power delay profile, angular entropy over a beam
 sweep). A run loop serves one subscription, applies control commands between
-emissions, and stamps every report just before serialization.
+bursts, and sends what the subscription machine emits, stamped just before serialization.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from .e2sm import (
     SubscriptionMachine,
     SubscriptionMode,
     SubState,
-    TriggerConfig,
     decode_message,
     encode_message,
     valid_period,
-    valid_trigger,
 )
 from .ofh import (BeamTable, IqBlock, SensingMetadata, WaveformConfig, decode_metadata,
                   lookup_waveform)
@@ -46,9 +44,6 @@ from .radio import SPEED_OF_LIGHT, EchoScene, RadioUnit, generate_probe
 # dapp.apply_scene. It goes once that check reads radio's (ROADMAP item 4).
 from .radio import apply_scene  # noqa: F401
 from .transport import Backpressure, Channel, Disconnected, Timeout, share_loop_cpu
-
-ECHO_ENERGY = "ECHO_ENERGY"
-AOA_SHIFT = "AOA_SHIFT"
 
 _log = logging.getLogger(__name__)
 
@@ -204,26 +199,6 @@ def estimate_kpis(power_map: np.ndarray, cfg: WaveformConfig,
     )
 
 
-def evaluate_triggers(report: SensingReport, prev: SensingReport | None,
-                      trig: TriggerConfig) -> list[str]:
-    """Pure trigger check: threshold crossings in echo energy, AoA jumps."""
-    fired: list[str] = []
-    thr = trig.echo_energy_threshold_db
-    if thr is not None:
-        if prev is None:
-            if report.echo_energy_db > thr:
-                fired.append(ECHO_ENERGY)
-        elif (prev.echo_energy_db > thr) != (report.echo_energy_db > thr):
-            fired.append(ECHO_ENERGY)
-    aoa_thr = trig.aoa_shift_threshold_deg
-    if aoa_thr is not None and prev is not None:
-        delta = abs(report.aoa_azimuth_deg - prev.aoa_azimuth_deg)
-        delta = min(delta, 360.0 - delta)
-        if delta >= aoa_thr:
-            fired.append(AOA_SHIFT)
-    return fired
-
-
 @dataclass
 class DappConfig:
     report_period_ms: float = 10.0
@@ -247,19 +222,20 @@ class SensingDapp:
     Owns its configuration, sequence counter, and subscription machine on one
     worker thread; the channel is the only cross-thread boundary. It hands
     the scene to its own ``ru`` and keeps only its seed, for the probe pilots;
-    each report follows the waveform and beam the RU's metadata names. Control
-    commands are applied as they arrive, always between emissions, and each is
-    acknowledged with its receive and apply timestamps; one whose value its
-    rule refuses is counted in ``refused_commands`` and left unanswered.
-    An undecodable frame is counted by kind in ``decode_errors`` and dropped,
-    and a frame of a type the dApp does not serve (an indication, a control
-    ack or a subscription response) by type in ``unexpected_frames``.
-    A burst that raises, say on a scene no burst can carry, or a probe that
-    cannot be built for the subscribed waveform, is counted by kind in
-    ``burst_errors`` and closes the subscription; the thread keeps serving.
-    Every subscription request gets the machine's answer; a refused one, such
-    as a second one while one is active, gets ``accepted=False`` and id 0.
-    A burst that overran its slot is counted in ``late_bursts`` (see ``run``).
+    each report follows the waveform and beam the RU's metadata names. The
+    machine answers every subscription request (a refused one, such as a
+    second while one is active, with ``accepted=False`` and id 0) and decides
+    whether each report is sent. Control commands are applied as they
+    arrive, between bursts, and each is acknowledged with its receive and
+    apply timestamps; one whose value its rule refuses is counted in
+    ``refused_commands`` and left unanswered. An undecodable frame is counted
+    by kind in ``decode_errors`` and dropped, and a frame of a type the dApp
+    does not serve (an indication, a control ack or a subscription response)
+    by type in ``unexpected_frames``. A burst that raises, say on a scene no
+    burst can carry, or a probe that cannot be built for the subscribed
+    waveform, is counted by kind in ``burst_errors`` and closes the
+    subscription; the thread keeps serving. A burst that overran its slot is
+    counted in ``late_bursts`` (see ``run``).
 
     ``start()`` starts the RU, pins the calling thread to the loop CPU and
     creates the worker thread, which inherits that CPU (see
@@ -282,9 +258,7 @@ class SensingDapp:
         self.channel = channel
         self.clock = clock or SharedClock()
         self.machine = SubscriptionMachine()
-        self.trigger = TriggerConfig()
         self.sequence_number = 0
-        self.prev_report: SensingReport | None = None
         self.dropped_blocks = 0
         self.late_bursts = 0
         self.refused_commands = 0
@@ -335,10 +309,8 @@ class SensingDapp:
             self.config.active_beam = cmd.beam_index
         elif cmd.kind == CommandKind.SET_SIC:
             self.config.sic_enabled = cmd.sic_enabled
-        elif valid_trigger(cmd.trigger):
-            self.trigger = cmd.trigger
         else:
-            return False
+            return self.machine.set_trigger(cmd.trigger)
         return True
 
     def _handle_frame(self, frame: bytes) -> bool:
@@ -356,12 +328,8 @@ class SensingDapp:
             return False
         if msg.msg_type == MsgType.SUBSCRIPTION_REQUEST:
             result = self.machine.handle_request(msg.payload, msg.correlation_id)
-            if not result.violation:
-                self.prev_report = None  # a new subscription starts from first sight
-                if msg.payload.mode == SubscriptionMode.PERIODIC:
-                    self.config.report_period_ms = msg.payload.period_ms
-                else:
-                    self.trigger = msg.payload.trigger
+            if not result.violation and msg.payload.mode == SubscriptionMode.PERIODIC:
+                self.config.report_period_ms = msg.payload.period_ms
             for out in result.emitted:
                 self.channel.send(encode_message(out))
             return not result.violation
@@ -402,18 +370,12 @@ class SensingDapp:
         except Exception as e:
             self._close_failed(e, f"burst {self.sequence_number + 1}")
             return
-        if self.machine.mode == SubscriptionMode.EVENT:
-            if not evaluate_triggers(report, self.prev_report, self.trigger):
-                self.prev_report = report
-                return
-        report = report._replace(t0=self.clock.now_ns())
-        frame = encode_message(E2SensMessage(
-            MsgType.INDICATION, self.machine.subscription_id, report))
-        try:
-            self.channel.send(frame, droppable=True)
-        except Backpressure:
-            self.dropped_blocks += 1
-        self.prev_report = report
+        for out in self.machine.step(SubEvent.INDICATION_READY, report=report).emitted:
+            out = out._replace(payload=out.payload._replace(t0=self.clock.now_ns()))
+            try:
+                self.channel.send(encode_message(out), droppable=True)
+            except Backpressure:
+                self.dropped_blocks += 1
 
     def _period_ns(self) -> int:
         return round(self.config.report_period_ms * 1e6)

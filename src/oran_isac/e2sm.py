@@ -79,9 +79,32 @@ class TriggerConfig(NamedTuple):
 
 
 def valid_trigger(trigger: TriggerConfig) -> bool:
-    """The one rule for a trigger: a threshold is set, and every set one is finite."""
-    thresholds = [t for t in trigger if t is not None]
-    return bool(thresholds) and all(map(math.isfinite, thresholds))
+    """The one trigger rule: a threshold set, a set energy one finite, a set AoA one in (0, 180]."""
+    energy, aoa = trigger
+    return ((energy, aoa) != (None, None) and (energy is None or math.isfinite(energy))
+            and (aoa is None or 0.0 < aoa <= 180.0))
+
+
+ECHO_ENERGY = "ECHO_ENERGY"
+AOA_SHIFT = "AOA_SHIFT"
+
+
+def evaluate_triggers(report: SensingReport, prev: SensingReport | None,
+                      trig: TriggerConfig) -> list[str]:
+    """Pure trigger check: echo energy crossing its threshold (a report on it is below
+    it; first sight crosses up from below) and AoA jumps of at least the AoA one."""
+    fired: list[str] = []
+    thr = trig.echo_energy_threshold_db
+    if thr is not None and ((report.echo_energy_db > thr)
+                            != (prev is not None and prev.echo_energy_db > thr)):
+        fired.append(ECHO_ENERGY)
+    aoa_thr = trig.aoa_shift_threshold_deg
+    if aoa_thr is not None and prev is not None:
+        delta = abs(report.aoa_azimuth_deg - prev.aoa_azimuth_deg)
+        delta = min(delta, 360.0 - delta)
+        if delta >= aoa_thr:
+            fired.append(AOA_SHIFT)
+    return fired
 
 
 # A trigger on the wire: u8 flags (0x01 energy set, 0x02 AoA set), then both
@@ -325,18 +348,24 @@ class SubscriptionMachine:
 
     A step the table lacks, or a request that is malformed, is a protocol
     violation: it leaves the state untouched and ``step`` emits nothing, so
-    indications are only emitted in ACTIVE. ``handle_request`` answers every
-    request, a refused one with ``accepted=False`` and subscription id 0. The
-    first ``MAX_VIOLATION_NOTES`` violations are noted in ``violations`` and
-    any later ones only counted in ``unnoted_violations``, so a peer cannot
-    grow the list. ``subscription_id`` is 0 before the first accept, and each
-    accept takes the next id: 1, 2, ...
+    indications are only emitted in ACTIVE. The machine makes every
+    INDICATION: ``INDICATION_READY`` emits its report in PERIODIC mode, and in
+    EVENT mode only if ``evaluate_triggers`` fires against ``prev_report``,
+    which the report then replaces in either mode. An accepted request sets
+    ``trigger`` and clears ``prev_report``; ``set_trigger`` replaces the
+    trigger. ``handle_request`` answers every request, a refused one with
+    ``accepted=False`` and subscription id 0. The first ``MAX_VIOLATION_NOTES``
+    violations are noted in ``violations`` and any later ones only counted in
+    ``unnoted_violations``, so a peer cannot grow the list. ``subscription_id``
+    is 0 before the first accept, and each accept takes the next id: 1, 2, ...
     """
 
     def __init__(self) -> None:
         self.state = SubState.IDLE
         self.subscription_id = 0
         self.mode: SubscriptionMode | None = None
+        self.trigger = TriggerConfig()
+        self.prev_report: SensingReport | None = None
         self.violations: list[str] = []
         self.unnoted_violations = 0
 
@@ -363,15 +392,24 @@ class SubscriptionMachine:
                     else valid_period(request.period_ms)):
                 return self._violate(event)
             self.subscription_id += 1
-            self.mode = request.mode
+            self.mode, self.trigger, self.prev_report = request.mode, request.trigger, None
             emitted = [E2SensMessage(MsgType.SUBSCRIPTION_RESPONSE, correlation_id,
                                      SubscriptionResponsePayload(self.subscription_id))]
         elif event == SubEvent.INDICATION_READY:
             if report is None:
                 raise ValueError("INDICATION_READY needs the report")
-            emitted = [E2SensMessage(MsgType.INDICATION, self.subscription_id, report)]
+            prev, self.prev_report = self.prev_report, report
+            if self.mode != SubscriptionMode.EVENT or evaluate_triggers(report, prev, self.trigger):
+                emitted = [E2SensMessage(MsgType.INDICATION, self.subscription_id, report)]
         self.state = next_state
         return StepResult(next_state, emitted)
+
+    def set_trigger(self, trigger: TriggerConfig) -> bool:
+        """Replace the trigger; False, with nothing changed, for one ``valid_trigger`` refuses."""
+        if not valid_trigger(trigger):
+            return False
+        self.trigger = trigger
+        return True
 
     def handle_request(self, request: SubscriptionRequestPayload,
                        correlation_id: int) -> StepResult:

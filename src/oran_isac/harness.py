@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import A1IsacPolicy, XApp, policy_from_dict
-from .dapp import DappConfig, SensingDapp, evaluate_triggers
-from .e2sm import MAX_PERIOD_MS, SubscriptionMode, TriggerConfig, valid_period
+from .dapp import DappConfig, SensingDapp
+from .e2sm import MAX_PERIOD_MS, SubscriptionMode, TriggerConfig, evaluate_triggers, valid_period
 from .ofh import BeamTable, WaveformConfig, waveform_from_dict
 # SceneParseError is imported for callers: load_config raises it.
 from .radio import (

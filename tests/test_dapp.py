@@ -18,8 +18,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oran_isac.dapp import (
-    AOA_SHIFT,
-    ECHO_ENERGY,
     BlockLengthMismatch,
     DappConfig,
     SensingDapp,
@@ -27,10 +25,11 @@ from oran_isac.dapp import (
     angular_entropy,
     delay_doppler_map,
     estimate_kpis,
-    evaluate_triggers,
     multipath_spread,
 )
 from oran_isac.e2sm import (
+    AOA_SHIFT,
+    ECHO_ENERGY,
     MAX_PERIOD_MS,
     CommandKind,
     ControlAckPayload,
@@ -47,6 +46,7 @@ from oran_isac.e2sm import (
     TriggerConfig,
     decode_message,
     encode_message,
+    evaluate_triggers,
     valid_period,
     valid_trigger,
 )
@@ -356,6 +356,11 @@ def small_stack(period_ms=10.0, scene=None):
 
 MS = 1_000_000  # ns
 
+# test_an_event_run_sends_the_same_bytes: the whole-ms send times of its
+# INDICATIONs, and SHA-256 over every frame it sends with its send time.
+EVENT_RUN_TIMES = [11, 31, 61, 101, 121, 141, 161, 211, 221, 231, 241, 251]
+EVENT_RUN_DIGEST = "0d5bd0e7a509a9939b3d19c782ddeca4ea3719baed0fb97d727f546a43c8ec36"
+
 
 class SlowRadio:
     """A substitute RU: the real RU's burst, taking ``cost_ns`` of virtual time."""
@@ -514,7 +519,7 @@ class TestRunLoop:
         assert quiet == 1
         assert back.report.aoa_azimuth_deg == 0.0
         assert len(xapp.reports) == 2
-        assert dapp.trigger == TriggerConfig(aoa_shift_threshold_deg=10.0)
+        assert dapp.machine.trigger == TriggerConfig(aoa_shift_threshold_deg=10.0)
 
     def test_sic_toggle_raises_si(self):
         scene = EchoScene(targets=(Target(20.0, 0.0, 0.0),),
@@ -582,6 +587,49 @@ class TestRunLoop:
         assert [r.subscription_id for _, r in sent(end, MsgType.SUBSCRIPTION_RESPONSE)] \
             == [1, 2]
         assert [t for t, _ in sent(end, MsgType.INDICATION)] == [10 * MS, 60 * MS]
+
+    def test_an_event_run_sends_the_same_bytes(self):
+        """An EVENT subscription, SET_TRIGGER mid-run, a close, then a PERIODIC one.
+
+        The echo reads about -2 dB on beam 0 and -32 dB on beam 1 (15 degrees).
+        The energy trigger fires on first sight and on each beam step; the AoA
+        trigger on a step of 15 degrees only when its threshold is below it.
+        Burst 18 raises, which closes the subscription, and a PERIODIC one
+        at 200 ms reports every 10 ms. Every frame the dApp sends, with its
+        virtual send time, hashes to ``EVENT_RUN_DIGEST``.
+        """
+        def event_frame(corr, trigger):
+            return encode_message(E2SensMessage(
+                MsgType.SUBSCRIPTION_REQUEST, corr,
+                SubscriptionRequestPayload(SubscriptionMode.EVENT, trigger=trigger)))
+
+        def beam(corr, index):
+            return control_frame(corr, CommandKind.SET_BEAM, beam_index=index)
+
+        def trigger(corr, energy=None, aoa=None):
+            return control_frame(corr, CommandKind.SET_TRIGGER,
+                                 trigger=TriggerConfig(energy, aoa))
+
+        script = [
+            (0, event_frame(1, TriggerConfig(echo_energy_threshold_db=-15.0))),
+            (5 * MS, subscribe_frame(2, 10.0)),                 # refused: one is active
+            (30 * MS, beam(3, 1)), (60 * MS, beam(4, 0)),
+            (80 * MS, trigger(5, aoa=10.0)),
+            (100 * MS, beam(6, 1)), (120 * MS, beam(7, 0)),
+            (130 * MS, trigger(8, energy=-15.0, aoa=20.0)),
+            (140 * MS, beam(9, 1)), (160 * MS, beam(10, 0)),
+            (200 * MS, subscribe_frame(11, 10.0)),
+            (230 * MS, beam(12, 1)),
+        ]
+        dapp, end = virtual_dapp(script, end_ms=260.0, burst_ms=1.0)
+        dapp.ru = RaisingOnce(dapp.ru, call=18)
+        dapp.run()
+        assert dapp.burst_errors == Counter(RuntimeError=1)
+        assert [t // MS for t, _ in sent(end, MsgType.INDICATION)] == EVENT_RUN_TIMES
+        h = hashlib.sha256()
+        for t, frame in end.sent:
+            h.update(t.to_bytes(8, "big") + frame)
+        assert h.hexdigest() == EVENT_RUN_DIGEST
 
     def test_an_idle_loop_keeps_no_deadline(self):
         """A tiny period at 0 ms and a SET_SIC at 3 ms, nothing subscribed: one read per frame."""
@@ -836,7 +884,12 @@ def test_out_of_range_period_is_refused_everywhere(period):
     TriggerConfig(-15.0, math.nan),
     TriggerConfig(echo_energy_threshold_db=math.inf),
     TriggerConfig(aoa_shift_threshold_deg=-math.inf),
-], ids=["empty", "nan", "inf", "-inf"])
+    # An AoA shift is never negative, so a threshold at or below 0 fires on
+    # every burst, and one above 180 degrees never fires.
+    TriggerConfig(-15.0, -5.0),
+    TriggerConfig(aoa_shift_threshold_deg=0.0),
+    TriggerConfig(aoa_shift_threshold_deg=180.5),
+], ids=["empty", "nan", "inf", "-inf", "aoa-negative", "aoa-zero", "aoa-over-180"])
 def test_an_invalid_trigger_is_refused_everywhere(trigger):
     """Subscription, A1 check, SET_TRIGGER and the xApp share one trigger rule."""
     assert not valid_trigger(trigger)
@@ -850,7 +903,7 @@ def test_an_invalid_trigger_is_refused_everywhere(trigger):
     dapp = SensingDapp(DappConfig(), {0: make_cfg()}, BEAMS, EchoScene(), dapp_end)
     assert not dapp._handle_frame(control_frame(1, CommandKind.SET_TRIGGER, trigger=trigger))
     assert dapp.refused_commands == 1
-    assert dapp.trigger == TriggerConfig()
+    assert dapp.machine.trigger == TriggerConfig()
     with pytest.raises(Timeout):
         peer.recv(timeout=0.0)
     with pytest.raises(PolicyViolation, match="INVALID_TRIGGER"):
@@ -862,6 +915,12 @@ def test_an_invalid_trigger_is_refused_everywhere(trigger):
 def test_period_rule_bounds():
     assert valid_period(1e-3) and valid_period(MAX_PERIOD_MS)
     assert not valid_period(MAX_PERIOD_MS * (1 + 1e-9))
+
+
+def test_trigger_rule_bounds():
+    assert valid_trigger(TriggerConfig(aoa_shift_threshold_deg=180.0))
+    assert valid_trigger(TriggerConfig(aoa_shift_threshold_deg=5e-324))
+    assert valid_trigger(TriggerConfig(-1e308, 90.0))
 
 
 # -- seeded bit-identity and the per-beam echo cache --------------------------

@@ -30,6 +30,7 @@ from oran_isac.e2sm import (
     UnknownVersion,
     decode_message,
     encode_message,
+    evaluate_triggers,
 )
 
 VECTORS = Path(__file__).resolve().parent.parent / "conformance" / "e2sm_vectors.txt"
@@ -319,3 +320,42 @@ class TestSubscriptionMachine:
         assert len(m.violations) == MAX_VIOLATION_NOTES == 64
         assert m.unnoted_violations == 936
         assert m.state == SubState.ACTIVE
+
+
+# Echo energies around the thresholds drawn below, and azimuths on and off a
+# 15-degree beam grid, so that triggers fire and stay quiet.
+_ENERGIES = st.sampled_from([-32.0, -15.0, -10.0, -2.0]) | st.floats(-60.0, 10.0)
+_AZIMUTHS = st.sampled_from([-15.0, 0.0, 15.0, 30.0]) | st.floats(-180.0, 180.0)
+valid_triggers = st.builds(
+    TriggerConfig,
+    st.none() | st.sampled_from([-15.0, -10.0]) | finite,
+    st.none() | st.sampled_from([10.0, 15.0, 180.0]) | st.floats(0.0, 180.0, exclude_min=True),
+).filter(lambda t: t != TriggerConfig())
+
+
+@given(
+    mode=st.sampled_from(SubscriptionMode),
+    first=valid_triggers,
+    steps=st.lists(st.tuples(_ENERGIES, _AZIMUTHS, st.none() | valid_triggers), max_size=30),
+)
+@settings(max_examples=300)
+def test_the_machine_emits_what_the_triggers_decide(mode, first, steps):
+    """EVENT mode emits a report only when ``evaluate_triggers`` fires against the one
+    before it, emitted or not; PERIODIC mode emits every report.
+
+    The oracle replays ``evaluate_triggers`` over the whole sequence, with
+    each step's new trigger, if any, set before its report.
+    """
+    m = fresh_machine()
+    m.handle_request(SubscriptionRequestPayload(mode, 10.0, first), 1)
+    trigger, prev = first, None
+    for k, (energy, azimuth, new_trigger) in enumerate(steps, start=1):
+        if new_trigger is not None:
+            assert m.set_trigger(new_trigger)
+            trigger = new_trigger
+        report = SensingReport(k, 0, 0, 0, 0, azimuth, 0, energy, 0, 0, 0, 1.0, 0, 0, k)
+        fires = mode == SubscriptionMode.PERIODIC or bool(evaluate_triggers(report, prev, trigger))
+        res = m.step(SubEvent.INDICATION_READY, report=report)
+        assert res.emitted == ([E2SensMessage(MsgType.INDICATION, 1, report)] if fires else [])
+        assert res.violation is None and m.prev_report == report
+        prev = report
